@@ -172,6 +172,17 @@ pub fn eval_binary(l: &Value, op: BinOp, r: &Value) -> TcuResult<Value> {
     }
 }
 
+/// Does `l <op> r` hold?  The one definition of join-comparison truth:
+/// the join kernels, the comparison-matrix builder and the composite-key
+/// residual all reduce to it, so a predicate means the same thing
+/// whichever operator evaluates it.
+pub fn compare(l: &Value, op: BinOp, r: &Value) -> TcuResult<bool> {
+    if !op.is_comparison() {
+        return Err(TcuError::Plan(format!("{op} is not a join comparison")));
+    }
+    Ok(truthy(&eval_binary(l, op, r)?))
+}
+
 /// SQL truthiness of a value (non-zero numerics are true).
 pub fn truthy(v: &Value) -> bool {
     match v {

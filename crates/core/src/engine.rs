@@ -31,6 +31,14 @@ use tcudb_types::{TcuError, TcuResult, Value};
 const APPEND_CHUNK_ROWS: usize = tcudb_storage::DEFAULT_CHUNK_ROWS;
 
 /// Engine-wide configuration.
+///
+/// There is one execution path — dictionary codes from scan to result,
+/// zone-map pruning always on — so nothing here selects *how* a query is
+/// evaluated, only the simulated device, the optimizer's thresholds, how
+/// large a shape the emulated tensor kernels really run, and the host
+/// thread budget.  Every setting leaves query results unchanged except
+/// [`count_only`](EngineConfig::count_only), which replaces them with the
+/// matched-tuple count.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// The simulated device the engine targets.
@@ -39,41 +47,24 @@ pub struct EngineConfig {
     pub optimizer: OptimizerConfig,
     /// Largest number of matrix elements per operand (and per result) that
     /// the engine will physically materialise and run through the real
-    /// tensor kernels; larger shapes execute through the hash-equivalent
-    /// path while still being costed with the tensor-kernel formulas.
+    /// tensor kernels; larger shapes execute through the host join
+    /// operators while still being costed with the tensor-kernel formulas.
     pub materialize_limit: usize,
     /// Largest `m·n·k` multiply-accumulate count the engine will actually
     /// execute on the emulated tensor kernels.  Dense-GEMM operation
     /// statistics are shape-derived, so beyond this budget the engine
-    /// computes the identical answer through the hash-equivalent path and
+    /// computes the identical answer through the host join operators and
     /// charges the identical simulated kernel cost — running the emulated
     /// kernel would only burn host time validating what the oracle tests
     /// already prove.
     pub kernel_mac_limit: u128,
-    /// When set, queries return only the matched-tuple count instead of the
-    /// fully materialised result rows — used by the large benchmark
-    /// configurations where materialising hundreds of millions of result
-    /// rows on the host would dominate harness time without affecting the
-    /// simulated device timings being measured.
+    /// When set, queries (single-table ones included) return only the
+    /// matched-tuple count instead of the fully materialised result rows —
+    /// used by the large benchmark configurations where materialising
+    /// hundreds of millions of result rows on the host would dominate
+    /// harness time without affecting the simulated device timings being
+    /// measured.
     pub count_only: bool,
-    /// Route filters, domain builds, matrix builds and equi-joins through
-    /// the encoded columnar data path (dictionary codes + remap tables)
-    /// instead of the row-at-a-time `Value` interpreter.  Successful
-    /// queries return bit-identical results either way (the `perfqueries`
-    /// harness and the `encoded_oracle` proptests enforce it).  The one
-    /// observable difference is *error ordering*: vectorized filter atoms
-    /// run before complex predicates, so a row rejected by an atom can no
-    /// longer raise an evaluation error (e.g. division by zero) from a
-    /// complex predicate that textually precedes it — see
-    /// `relops::apply_filters_with`.  Disabling this selects the
-    /// interpreter for harness baselines and debugging.
-    pub encoded_path: bool,
-    /// Prune column chunks through their zone maps during scans: both a
-    /// table's own filter atoms and semi-join key ranges pushed from
-    /// already-filtered join partners.  Final query results are identical
-    /// either way; disabling it selects the scan-everything baseline the
-    /// benchmark speedup gates compare against.
-    pub zone_prune: bool,
     /// Thread cap for one morsel run (scan chunks, join probe ranges).
     /// `None` sizes each run from the shared
     /// [`WorkerPool`](tcudb_types::WorkerPool)'s currently idle share;
@@ -90,8 +81,6 @@ impl Default for EngineConfig {
             materialize_limit: 1 << 24,
             kernel_mac_limit: 1 << 27,
             count_only: false,
-            encoded_path: true,
-            zone_prune: true,
             morsel_threads: None,
         }
     }
@@ -109,20 +98,6 @@ impl EngineConfig {
     /// Force every join step onto a specific plan kind (ablation studies).
     pub fn with_forced_plan(mut self, plan: PlanKind) -> EngineConfig {
         self.optimizer.force_plan = Some(plan);
-        self
-    }
-
-    /// Toggle the encoded columnar data path (on by default); `false`
-    /// selects the row-at-a-time `Value` interpreter baseline.
-    pub fn with_encoded_path(mut self, enabled: bool) -> EngineConfig {
-        self.encoded_path = enabled;
-        self
-    }
-
-    /// Toggle zone-map chunk pruning (on by default); `false` selects the
-    /// scan-everything baseline.
-    pub fn with_zone_prune(mut self, enabled: bool) -> EngineConfig {
-        self.zone_prune = enabled;
         self
     }
 
@@ -760,6 +735,12 @@ mod tests {
             .unwrap();
         assert_eq!(out.table.num_rows(), 1);
         assert_eq!(out.table.row(0)[0], Value::Int(4));
+        // ... for any table count: a single-table query has three matches.
+        let out = engine
+            .execute("SELECT A.val FROM A WHERE A.val > 10")
+            .unwrap();
+        assert_eq!(out.table.num_rows(), 1);
+        assert_eq!(out.table.row(0)[0], Value::Int(3));
     }
 
     #[test]

@@ -18,12 +18,11 @@
 //! documents this substitution.
 
 use crate::analyzer::{AnalyzedQuery, QueryPattern};
-use crate::batch::TupleBatch;
 use crate::engine::EngineConfig;
 use crate::optimizer::{JoinShape, Optimizer, PlanChoice, PlanKind};
+use crate::pipeline::{self, JoinStep};
 use crate::relops::{self, FinalizeOptions};
-use crate::translate::{self, Domain, EncodedSource};
-use std::collections::HashSet;
+use crate::translate::{self, Domain};
 use std::time::Instant;
 use tcudb_device::{ExecutionTimeline, Phase};
 use tcudb_sql::BinOp;
@@ -65,9 +64,7 @@ impl PlanDescription {
 
 /// Host-measured wall-clock attribution of one execution, independent of
 /// the *simulated* device timeline: how long this process actually spent
-/// in each stage.  The `perfqueries` harness reports the join vs finalize
-/// share per query so BENCH_queries.json shows *why* a query is fast or
-/// slow.
+/// in each stage, and what the chunked scan skipped.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HostBreakdown {
     /// Seconds in scan + filter evaluation.
@@ -165,26 +162,22 @@ pub fn execute_ctx(
     let cost = optimizer.cost_model();
     let mut host = HostBreakdown::default();
 
-    // ---- Filters (GPU scans over the filtered columns; vectorized
-    // typed kernels on the encoded path), chunked with zone-map pruning
-    // and morsel parallelism ----
+    // ---- Filters (GPU scans over the filtered columns), chunked with
+    // zone-map pruning, semi-join key-range pushdown and morsel
+    // parallelism ----
     let stage = Instant::now();
     let scan_opts = relops::ScanOptions {
         threads: config.effective_morsel_threads(),
-        zone_prune: config.zone_prune,
-        semi_join: config.zone_prune,
+        semi_join: true,
     };
     let (surviving, table_scans, scan_stats) =
-        relops::apply_filters_scan(analyzed, config.encoded_path, ctx, &scan_opts)?;
+        relops::apply_filters_scan(analyzed, ctx, &scan_opts)?;
     host.filter_secs = stage.elapsed().as_secs_f64();
     host.chunks_scanned = scan_stats.chunks_scanned;
     host.chunks_pruned = scan_stats.chunks_pruned;
     host.morsels = scan_stats.morsels;
     host.workers = scan_stats.workers.max(1);
     for (ti, bound) in analyzed.tables.iter().enumerate() {
-        // Both plan lines depend only on chunk layout, zone maps and
-        // surviving counts, which the encoded and interpreter paths share
-        // — plan text stays engine-independent.
         if table_scans[ti].pruned > 0 {
             plan.steps.push(format!(
                 "zone-prune {}: skipped {}/{} chunks",
@@ -208,42 +201,21 @@ pub fn execute_ctx(
     }
 
     // ---- Single-table queries: no join to accelerate ----
-    if analyzed.tables.len() == 1 {
-        let batch = TupleBatch::from_rows(&surviving[0])?;
-        let agg_secs = cost.gpu_aggregation_seconds(batch.len());
+    let single_table = analyzed.tables.len() == 1;
+    if single_table {
+        let rows = surviving[0].len();
         timeline.record_detail(
             Phase::GroupByAggregation,
             "single-table aggregate",
-            agg_secs,
+            cost.gpu_aggregation_seconds(rows),
         );
         plan.steps
-            .push(format!("single-table pipeline over {} rows", batch.len()));
-        let stage = Instant::now();
-        let table = if config.encoded_path {
-            let opts = FinalizeOptions::tensor(config.materialize_limit).with_ctx(ctx.clone());
-            relops::finalize_output_columnar(analyzed, &batch, &opts)?.0
-        } else {
-            ctx.check()?;
-            relops::finalize_output(analyzed, &batch.to_tuples())?
-        };
-        host.finalize_secs = stage.elapsed().as_secs_f64();
-        return Ok(Execution {
-            table,
-            timeline,
-            plan,
-            host,
-            choices: Vec::new(),
-        });
+            .push(format!("single-table pipeline over {rows} rows"));
     }
 
-    // ---- Join order: greedy connectivity over the join graph ----
-    let stage = Instant::now();
-    let order = join_order(analyzed)?;
-    let mut joined: Vec<usize> = vec![order[0]];
-    let mut batch = TupleBatch::from_rows(&surviving[order[0]])?;
-    // The batch holds one row-index column per *joined* table (in `joined`
-    // order); the columns are permuted into bound-table order at the end.
-
+    // ---- Joins: the shared driver walks the graph; this engine's policy
+    // plans each step (or replays its cached choice) and runs it on the
+    // tensor cores or the GPU fallback ----
     let fuse_last = analyzed.stmt.has_aggregates()
         && matches!(
             analyzed.pattern,
@@ -252,208 +224,54 @@ pub fn execute_ctx(
                 | QueryPattern::MatMul
                 | QueryPattern::MultiWayJoin
         );
-
-    let mut choices: Vec<PlanChoice> = Vec::with_capacity(order.len().saturating_sub(1));
-    for (step_idx, &next) in order.iter().enumerate().skip(1) {
-        // Per-join-step checkpoint: a multi-way join abandons remaining
-        // steps as soon as the query is cancelled or past deadline.
-        ctx.check()?;
-        let is_last = step_idx == order.len() - 1;
-        // One join step per loop iteration: replayed choices line up with
-        // `choices` by position.
-        let cached_choice = replay.and_then(|c| c.get(choices.len()));
-        // Find the join predicate connecting `next` to the joined set.
-        let (pred, joined_side_is_left) = analyzed
-            .joins
-            .iter()
-            .find_map(|j| {
-                if j.left.0 == next && joined.contains(&j.right.0) {
-                    Some((j, false))
-                } else if j.right.0 == next && joined.contains(&j.left.0) {
-                    Some((j, true))
-                } else {
-                    None
-                }
-            })
-            .ok_or_else(|| {
-                TcuError::Plan(format!(
-                    "table '{}' is not connected to the join graph",
-                    analyzed.tables[next].binding
-                ))
-            })?;
-
-        // Key columns: the joined-set side and the new-table side.
-        let (joined_table_idx, joined_col, new_col) = if joined_side_is_left {
-            (pred.left.0, pred.left.1.clone(), pred.right.1.clone())
-        } else {
-            (pred.right.0, pred.right.1.clone(), pred.left.1.clone())
-        };
-        // Non-equi orientation: predicate is written left <op> right; when
-        // the joined set is on the right side the operator flips.
-        let op = if joined_side_is_left {
-            pred.op
-        } else {
-            pred.op.flip()
-        };
-
-        // Locate the key columns.
-        let joined_pos = joined.iter().position(|&t| t == joined_table_idx).unwrap();
-        let joined_table = &analyzed.tables[joined_table_idx].table;
-        let joined_key_col_idx = joined_table.schema().require(&joined_col)?;
-        let new_table = &analyzed.tables[next].table;
-        let new_key_col_idx = new_table.schema().require(&new_col)?;
-        let right_rows = &surviving[next];
-        let bindings = (
-            analyzed.tables[joined_table_idx].binding.as_str(),
-            analyzed.tables[next].binding.as_str(),
+    let stage = Instant::now();
+    let mut choices: Vec<PlanChoice> = Vec::new();
+    let batch = pipeline::join(analyzed, &surviving, ctx, |step| {
+        // One call per join step: replayed choices line up with `choices`
+        // by position.
+        let cached = replay.and_then(|c| c.get(choices.len()));
+        let fused = step.last && fuse_last;
+        let (shape, choice) = plan_join_step(analyzed, optimizer, &mut plan, step, fused, cached);
+        let pairs = execute_join_step(
+            step,
+            &choice,
+            &shape,
+            optimizer,
+            config,
+            &mut timeline,
+            &mut host,
+            ctx,
         );
-        let fused = is_last && fuse_last;
-        let left_rows = batch.col(joined_pos);
-
-        // ---- Gather keys, choose the plan, execute the join step ----
-        let pairs = if config.encoded_path && op == BinOp::Eq {
-            // Encoded data path: dictionary codes end-to-end.  The base
-            // columns' dictionaries are cached on the tables, the domain
-            // union works on code-remap tables, and the join / matrix
-            // builders scatter codes directly — no per-row `Value`s.
-            let joined_dict = joined_table.encoded_column(joined_key_col_idx);
-            let new_dict = new_table.encoded_column(new_key_col_idx);
-            let left_codes: Vec<u32> = left_rows
-                .iter()
-                .map(|&r| joined_dict.codes()[r as usize])
-                .collect();
-            let lsrc = EncodedSource {
-                dict: &joined_dict,
-                codes: &left_codes,
-                rows: None,
-            };
-            let rsrc = EncodedSource::subset(&new_dict, right_rows);
-            let (domain, maps) = Domain::build_encoded(&[lsrc, rsrc]);
-            let (shape, choice) = plan_join_step(
-                analyzed,
-                optimizer,
-                &mut plan,
-                bindings,
-                (&joined_col, &new_col),
-                (lsrc.len(), rsrc.len(), domain.len()),
-                fused,
-                batch.len(),
-                cached_choice,
-            );
-            choices.push(choice.clone());
-            execute_join_step_encoded(
-                (&lsrc, &maps[0]),
-                (&rsrc, &maps[1]),
-                &domain,
-                &choice,
-                &shape,
-                optimizer,
-                config,
-                &mut timeline,
-                &mut host,
-                ctx,
-            )?
-        } else {
-            let key_col = joined_table.column(joined_key_col_idx);
-            let left_keys: Vec<Value> = left_rows
-                .iter()
-                .map(|&r| key_col.value(r as usize))
-                .collect();
-            let right_keys: Vec<Value> = right_rows
-                .iter()
-                .map(|&r| new_table.column(new_key_col_idx).value(r))
-                .collect();
-            let left_col = column_from_values(&left_keys)?;
-            let right_col = column_from_values(&right_keys)?;
-            let domain = Domain::build(&[(&left_col, None), (&right_col, None)]);
-            let (shape, choice) = plan_join_step(
-                analyzed,
-                optimizer,
-                &mut plan,
-                bindings,
-                (&joined_col, &new_col),
-                (left_keys.len(), right_keys.len(), domain.len()),
-                fused,
-                batch.len(),
-                cached_choice,
-            );
-            choices.push(choice.clone());
-            execute_join_step(
-                &left_keys,
-                &right_keys,
-                &domain,
-                op,
-                &choice,
-                &shape,
-                optimizer,
-                config,
-                &mut timeline,
-                ctx,
-            )?
-        };
-
-        // Extend the batch with the new table's rows: columnar gathers,
-        // no per-tuple allocation.
-        joined.push(next);
-        batch = batch.extend_join(&pairs, right_rows)?;
-
-        // Apply any *additional* join predicates that connect tables we
-        // have already joined (composite keys) as residual filters.
-        batch = filter_by_extra_joins(analyzed, &joined, batch)?;
-    }
+        choices.push(choice);
+        pairs
+    })?;
     host.join_secs = stage.elapsed().as_secs_f64();
-
-    // Remap the batch columns from `joined` order to bound-table order
-    // (a column permutation — O(tables), not O(tuples × tables)).
-    let batch = batch.remap_slots(&joined, analyzed.tables.len());
 
     // ---- Final aggregation / projection ----
     let stage = Instant::now();
-    let record_agg = analyzed.stmt.has_aggregates() && !fuse_last;
-    let table = if config.count_only {
-        if record_agg {
-            let secs =
-                cost.gpu_groupby_agg_seconds(batch.len(), estimate_groups(analyzed, &batch.len()));
-            timeline.record_detail(Phase::GroupByAggregation, "post-join aggregation", secs);
-        }
-        relops::table_from_rows(
-            "result_count",
-            &["matched_tuples".to_string()],
-            vec![vec![Value::Int(batch.len() as i64)]],
-        )?
-    } else if config.encoded_path {
-        let opts = FinalizeOptions::tensor(config.materialize_limit).with_ctx(ctx.clone());
-        let (table, report) = relops::finalize_output_columnar(analyzed, &batch, &opts)?;
-        if record_agg {
-            // Exact operation counts from the finalize stage, not the
-            // pre-execution row-count guess the interpreter path charges.
-            let secs = cost.gpu_groupby_agg_seconds(report.agg_rows, report.groups.max(1));
-            let detail = if report.gemm.is_empty() {
-                format!(
-                    "post-join aggregation ({} rows → {} groups)",
-                    report.agg_rows, report.groups
-                )
-            } else {
-                let macs: f64 = report.gemm.iter().map(|s| s.flops / 2.0).sum();
-                format!(
-                    "post-join aggregation ({} rows → {} groups, {} one-hot GEMMs, {macs:.0} MACs)",
-                    report.agg_rows,
-                    report.groups,
-                    report.gemm.len(),
-                )
-            };
-            timeline.record_detail(Phase::GroupByAggregation, detail, secs);
-        }
-        table
-    } else {
-        if record_agg {
-            let secs =
-                cost.gpu_groupby_agg_seconds(batch.len(), estimate_groups(analyzed, &batch.len()));
-            timeline.record_detail(Phase::GroupByAggregation, "post-join aggregation", secs);
-        }
-        ctx.check()?;
-        relops::finalize_output(analyzed, &batch.to_tuples())?
-    };
+    let opts = FinalizeOptions::tensor(config.materialize_limit).with_ctx(ctx.clone());
+    let (table, report) = pipeline::finish(analyzed, &batch, config.count_only, &opts)?;
+    if analyzed.stmt.has_aggregates() && !fuse_last && !single_table {
+        // Exact operation counts from the finalize stage; `count_only`
+        // skips that stage, so it charges the pre-execution estimate.
+        let (rows, groups, detail) = match &report {
+            None => {
+                let groups = estimate_groups(analyzed, batch.len());
+                (batch.len(), groups, "post-join aggregation".to_string())
+            }
+            Some(r) => {
+                let mut detail = format!("{} rows → {} groups", r.agg_rows, r.groups);
+                if !r.gemm.is_empty() {
+                    let macs: f64 = r.gemm.iter().map(|s| s.flops / 2.0).sum();
+                    detail += &format!(", {} one-hot GEMMs, {macs:.0} MACs", r.gemm.len());
+                }
+                let detail = format!("post-join aggregation ({detail})");
+                (r.agg_rows, r.groups.max(1), detail)
+            }
+        };
+        let secs = cost.gpu_groupby_agg_seconds(rows, groups);
+        timeline.record_detail(Phase::GroupByAggregation, detail, secs);
+    }
     host.finalize_secs = stage.elapsed().as_secs_f64();
 
     Ok(Execution {
@@ -463,37 +281,6 @@ pub fn execute_ctx(
         host,
         choices,
     })
-}
-
-/// Decide the join order: start from the most-connected table (the fact
-/// table of a star schema) and greedily add connected tables.
-fn join_order(analyzed: &AnalyzedQuery) -> TcuResult<Vec<usize>> {
-    let n = analyzed.tables.len();
-    let degree = |i: usize| analyzed.joins_for_table(i).len();
-    let start = (0..n).max_by_key(|&i| degree(i)).unwrap_or(0);
-    let mut order = vec![start];
-    let mut in_order: HashSet<usize> = HashSet::from([start]);
-    while order.len() < n {
-        let next = (0..n).find(|i| {
-            !in_order.contains(i)
-                && analyzed.joins.iter().any(|j| {
-                    (j.left.0 == *i && in_order.contains(&j.right.0))
-                        || (j.right.0 == *i && in_order.contains(&j.left.0))
-                })
-        });
-        match next {
-            Some(t) => {
-                in_order.insert(t);
-                order.push(t);
-            }
-            None => {
-                return Err(TcuError::Plan(
-                    "query contains a cross join (disconnected join graph)".into(),
-                ))
-            }
-        }
-    }
-    Ok(order)
 }
 
 /// Build a `Column` from homogeneous key values.
@@ -506,13 +293,13 @@ fn column_from_values(values: &[Value]) -> TcuResult<Column> {
 }
 
 /// Estimate the number of output groups of the query's GROUP BY.
-fn estimate_groups(analyzed: &AnalyzedQuery, tuple_count: &usize) -> usize {
+fn estimate_groups(analyzed: &AnalyzedQuery, tuple_count: usize) -> usize {
     if analyzed.stmt.group_by.is_empty() {
         return 1;
     }
     let mut product: usize = 1;
     for g in &analyzed.stmt.group_by {
-        let mut best = *tuple_count;
+        let mut best = tuple_count;
         if let tcudb_sql::Expr::Column(c) = g {
             if let Ok((ti, ci)) = crate::analyzer::resolve_column(analyzed, c) {
                 let name = &analyzed.tables[ti].table.schema().column(ci).name;
@@ -520,36 +307,31 @@ fn estimate_groups(analyzed: &AnalyzedQuery, tuple_count: &usize) -> usize {
                     .stats
                     .column(name)
                     .map(|s| s.distinct_count)
-                    .unwrap_or(*tuple_count);
+                    .unwrap_or(tuple_count);
             }
         }
         product = product.saturating_mul(best.max(1));
     }
-    product.min((*tuple_count).max(1))
+    product.min(tuple_count.max(1))
 }
 
 /// Build the join shape for one step, ask the optimizer for a plan (or
 /// replay a cached one) and record the step in the plan description.
-/// Shared by the encoded and the `Value`-based paths so both describe and
-/// cost joins identically.
-#[allow(clippy::too_many_arguments)]
 fn plan_join_step(
     analyzed: &AnalyzedQuery,
     optimizer: &Optimizer,
     plan: &mut PlanDescription,
-    bindings: (&str, &str),
-    cols: (&str, &str),
-    (m, n, k): (usize, usize, usize),
+    step: &JoinStep<'_>,
     fused: bool,
-    tuple_count: usize,
     cached: Option<&PlanChoice>,
 ) -> (JoinShape, PlanChoice) {
-    let k = k.max(1);
+    let (m, n, k) = (step.left.len(), step.right.len(), step.domain.len().max(1));
     let mut shape = JoinShape::equi_join(m, n, k);
     shape.raw_bytes = (m + n) * 8;
     if fused {
         shape.fused_aggregate = true;
-        shape.groups = estimate_groups(analyzed, &tuple_count);
+        // `m` is the tuple count of the batch entering the step.
+        shape.groups = estimate_groups(analyzed, m);
         shape.n = shape.groups.max(1).min(n.max(1));
     }
     if analyzed.pattern == QueryPattern::MatMul {
@@ -569,10 +351,10 @@ fn plan_join_step(
     plan.exact &= choice.exact_guaranteed;
     plan.steps.push(format!(
         "join {} ⋈ {} on {}={} via {} [{}], m={} n={} k={}",
-        bindings.0,
-        bindings.1,
-        cols.0,
-        cols.1,
+        step.bindings.0,
+        step.bindings.1,
+        step.cols.0,
+        step.cols.1,
         choice.kind,
         choice.precision,
         shape.m,
@@ -582,17 +364,15 @@ fn plan_join_step(
     (shape, choice)
 }
 
-/// Execute one equi-join step on the encoded data path, returning the
-/// matching `(left position, right position)` pairs.  Mirrors
-/// [`execute_join_step`] arm for arm — identical cost charging, identical
-/// results — but scatters dictionary codes instead of materialising
-/// `Value`s, and joins through array-indexed code buckets instead of a
-/// `ValueKey` hash table.
+/// TCUDB's policy for one join step: run the chosen plan, returning the
+/// matching `(left position, right position)` pairs and charging the
+/// simulated device for it.  Operands are scattered from dictionary codes;
+/// when a shape is too large to materialise (or is fused into the
+/// aggregate) the pairs come from the host operators while the timeline is
+/// charged the chosen TCU kernel on its exact shape.
 #[allow(clippy::too_many_arguments)]
-fn execute_join_step_encoded(
-    (left, left_remap): (&EncodedSource<'_>, &[u32]),
-    (right, right_remap): (&EncodedSource<'_>, &[u32]),
-    domain: &Domain,
+fn execute_join_step(
+    step: &JoinStep<'_>,
     choice: &PlanChoice,
     shape: &JoinShape,
     optimizer: &Optimizer,
@@ -602,203 +382,11 @@ fn execute_join_step_encoded(
     ctx: &QueryContext,
 ) -> TcuResult<Vec<(usize, usize)>> {
     let cost = optimizer.cost_model();
+    let (left, right) = (&step.left, &step.right);
+    let (left_remap, right_remap) = step.remaps;
     let m = left.len();
     let n = right.len();
-    let k = domain.len().max(1);
-    let precision: GemmPrecision = choice.precision.into();
-
-    let can_materialize = (m.saturating_mul(k)).max(n.saturating_mul(k))
-        <= config.materialize_limit
-        && m.saturating_mul(n) <= config.materialize_limit
-        && (m as u128 * n as u128 * k as u128) <= config.kernel_mac_limit;
-
-    let dt = if choice.transform_on_gpu {
-        cost.transform_gpu_seconds(m + n)
-            + cost.device_mem_seconds(shape.plan_working_set_bytes(choice.kind, choice.precision))
-    } else {
-        cost.transform_cpu_seconds(m + n)
-    };
-    let dm = if choice.transform_on_gpu {
-        cost.h2d_seconds(shape.raw_bytes as f64)
-    } else {
-        cost.h2d_seconds(shape.plan_working_set_bytes(choice.kind, choice.precision))
-    };
-
-    // The probe side of the code join runs as contiguous row morsels on
-    // the shared worker pool; pair order is identical to the serial probe.
-    let code_join = |host: &mut HostBreakdown| {
-        let (pairs, run) = relops::join_pairs_by_code_morsels(
-            left,
-            left_remap,
-            right,
-            right_remap,
-            domain.len(),
-            config.effective_morsel_threads(),
-            tcudb_storage::DEFAULT_CHUNK_ROWS,
-        );
-        host.morsels += run.morsels;
-        host.workers = host.workers.max(run.threads as u64);
-        pairs
-    };
-
-    match choice.kind {
-        PlanKind::GpuFallback => {
-            let pairs = code_join(host);
-            timeline.record_detail(
-                Phase::MemcpyHostToDevice,
-                "copy join columns",
-                cost.h2d_seconds(shape.raw_bytes as f64),
-            );
-            timeline.record_detail(
-                Phase::HashJoin,
-                format!("GPU hash join {m}x{n}"),
-                cost.gpu_hash_join_seconds(m, n, pairs.len()),
-            );
-            timeline.record_detail(
-                Phase::MemcpyDeviceToHost,
-                "copy result handle",
-                cost.d2h_seconds(RESULT_HANDLE_BYTES),
-            );
-            Ok(pairs)
-        }
-        PlanKind::TcuDense | PlanKind::TcuBlocked if can_materialize && !shape.fused_aggregate => {
-            timeline.record_detail(Phase::FillMatrices, "build one-hot matrices", dt);
-            timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let a = translate::one_hot_matrix_encoded(left, left_remap, domain.len());
-            let b = translate::one_hot_matrix_encoded(right, right_remap, domain.len());
-            let (c, kernel_secs) = if choice.kind == PlanKind::TcuBlocked {
-                let block = blocked::choose_block_size(cost.profile().device_mem_bytes);
-                let (c, stats) = blocked::blocked_gemm_bt_ctx(&a, &b, precision, block, ctx)?;
-                (c, cost.blocked_gemm_seconds(&stats, choice.precision))
-            } else {
-                let (c, stats) = gemm::gemm_bt_ctx(&a, &b, precision, ctx)?;
-                (c, cost.tcu_gemm_seconds(&stats))
-            };
-            timeline.record_detail(
-                Phase::TcuKernel,
-                format!("{} {}x{}x{}", choice.kind, m, n, k),
-                kernel_secs,
-            );
-            let pairs = nonzero::nonzero(&c);
-            timeline.record_detail(
-                Phase::ResultMaterialize,
-                "nonzero extraction",
-                cost.nonzero_seconds(m, n, pairs.len()),
-            );
-            timeline.record_detail(
-                Phase::MemcpyDeviceToHost,
-                "copy result handle",
-                cost.d2h_seconds(RESULT_HANDLE_BYTES),
-            );
-            Ok(pairs)
-        }
-        PlanKind::TcuSparse if can_materialize && !shape.fused_aggregate => {
-            timeline.record_detail(Phase::FillMatrices, "build CSR operands", dt);
-            timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let a = translate::one_hot_csr_encoded(left, left_remap, domain.len())?;
-            let b = translate::one_hot_csr_encoded(right, right_remap, domain.len())?;
-            let (c, stats) = spmm::tcu_spmm_ctx(&a, &b, precision, ctx)?;
-            timeline.record_detail(
-                Phase::TcuKernel,
-                format!(
-                    "TCU-SpMM {}x{}x{} ({} tiles, {:.1}% skipped)",
-                    m,
-                    n,
-                    k,
-                    stats.tiles_processed,
-                    stats.skip_ratio() * 100.0
-                ),
-                cost.tcu_spmm_seconds(&stats, choice.precision),
-            );
-            let pairs = nonzero::nonzero(&c);
-            timeline.record_detail(
-                Phase::ResultMaterialize,
-                "nonzero extraction",
-                cost.nonzero_seconds(m, n, pairs.len()),
-            );
-            timeline.record_detail(
-                Phase::MemcpyDeviceToHost,
-                "copy result handle",
-                cost.d2h_seconds(RESULT_HANDLE_BYTES),
-            );
-            Ok(pairs)
-        }
-        // Too large to materialise (or fused): compute through the code
-        // join while charging the simulated cost of the chosen TCU kernel.
-        kind => {
-            timeline.record_detail(Phase::FillMatrices, "build matrices (GPU-assisted)", dt);
-            timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let pairs = code_join(host);
-            let kernel_secs = match kind {
-                PlanKind::TcuSparse => {
-                    cost.tcu_spmm_seconds(&shape.estimated_spmm_stats(), choice.precision)
-                }
-                PlanKind::TcuBlocked => {
-                    optimizer.tcu_plan_seconds(
-                        shape,
-                        PlanKind::TcuBlocked,
-                        choice.precision,
-                        choice.transform_on_gpu,
-                    ) - dt
-                        - dm
-                }
-                _ => cost.tcu_gemm_seconds(&shape.dense_gemm_stats(choice.precision)),
-            };
-            if shape.fused_aggregate {
-                timeline.record_detail(
-                    Phase::TcuKernel,
-                    format!(
-                        "fused Join+Aggregation {} {}x{}x{}",
-                        kind, shape.m, shape.n, shape.k
-                    ),
-                    kernel_secs.max(0.0),
-                );
-                timeline.record_detail(
-                    Phase::MemcpyDeviceToHost,
-                    "copy aggregate result",
-                    cost.d2h_seconds(shape.groups.max(1) as f64 * 8.0),
-                );
-            } else {
-                timeline.record_detail(
-                    Phase::TcuKernel,
-                    format!("{kind} {m}x{n}x{k} (simulated at scale)"),
-                    kernel_secs.max(0.0),
-                );
-                timeline.record_detail(
-                    Phase::ResultMaterialize,
-                    "nonzero extraction",
-                    cost.nonzero_seconds(shape.m, shape.n, pairs.len()),
-                );
-                timeline.record_detail(
-                    Phase::MemcpyDeviceToHost,
-                    "copy join result",
-                    cost.d2h_seconds(pairs.len() as f64 * 8.0),
-                );
-            }
-            Ok(pairs)
-        }
-    }
-}
-
-/// Execute one join step, returning the matching `(left index, right
-/// index)` pairs (indices into the key slices, not original rows).
-#[allow(clippy::too_many_arguments)]
-fn execute_join_step(
-    left_keys: &[Value],
-    right_keys: &[Value],
-    domain: &Domain,
-    op: BinOp,
-    choice: &PlanChoice,
-    shape: &JoinShape,
-    optimizer: &Optimizer,
-    config: &EngineConfig,
-    timeline: &mut ExecutionTimeline,
-    ctx: &QueryContext,
-) -> TcuResult<Vec<(usize, usize)>> {
-    let cost = optimizer.cost_model();
-    let m = left_keys.len();
-    let n = right_keys.len();
-    let k = domain.len().max(1);
+    let k = step.domain.len().max(1);
     let precision: GemmPrecision = choice.precision.into();
 
     let can_materialize = (m.saturating_mul(k)).max(n.saturating_mul(k))
@@ -822,17 +410,25 @@ fn execute_join_step(
         cost.h2d_seconds(shape.plan_working_set_bytes(choice.kind, choice.precision))
     };
 
+    // The probe side of the code join runs as contiguous row morsels on
+    // the shared worker pool; pair order is identical to the serial probe.
+    let host_pairs = |host: &mut HostBreakdown| -> TcuResult<Vec<(usize, usize)>> {
+        let (pairs, run) = step.host_pairs(config.effective_morsel_threads())?;
+        host.morsels += run.morsels;
+        host.workers = host.workers.max(run.threads as u64);
+        Ok(pairs)
+    };
+    let handle_back = |timeline: &mut ExecutionTimeline| {
+        timeline.record_detail(
+            Phase::MemcpyDeviceToHost,
+            "copy result handle",
+            cost.d2h_seconds(RESULT_HANDLE_BYTES),
+        );
+    };
+
     match choice.kind {
         PlanKind::GpuFallback => {
-            let left_col = column_from_values(left_keys)?;
-            let right_col = column_from_values(right_keys)?;
-            let all_left: Vec<usize> = (0..m).collect();
-            let all_right: Vec<usize> = (0..n).collect();
-            let pairs = if op == BinOp::Eq {
-                relops::hash_join_pairs(&left_col, &all_left, &right_col, &all_right)
-            } else {
-                relops::nonequi_join_pairs(&left_col, &all_left, &right_col, &all_right, op)?
-            };
+            let pairs = host_pairs(host)?;
             timeline.record_detail(
                 Phase::MemcpyHostToDevice,
                 "copy join columns",
@@ -843,94 +439,18 @@ fn execute_join_step(
                 format!("GPU hash join {m}x{n}"),
                 cost.gpu_hash_join_seconds(m, n, pairs.len()),
             );
-            timeline.record_detail(
-                Phase::MemcpyDeviceToHost,
-                "copy result handle",
-                cost.d2h_seconds(RESULT_HANDLE_BYTES),
-            );
-            Ok(pairs)
-        }
-        PlanKind::TcuDense | PlanKind::TcuBlocked
-            if can_materialize && op == BinOp::Eq && !shape.fused_aggregate =>
-        {
-            timeline.record_detail(Phase::FillMatrices, "build one-hot matrices", dt);
-            timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let left_col = column_from_values(left_keys)?;
-            let right_col = column_from_values(right_keys)?;
-            let a = translate::one_hot_matrix(&left_col, None, domain);
-            let b = translate::one_hot_matrix(&right_col, None, domain);
-            let (c, kernel_secs) = if choice.kind == PlanKind::TcuBlocked {
-                let block = blocked::choose_block_size(cost.profile().device_mem_bytes);
-                // The bt-oriented blocked path packs the transpose inside the
-                // kernel engine instead of materialising a k×n copy here.
-                let (c, stats) = blocked::blocked_gemm_bt_ctx(&a, &b, precision, block, ctx)?;
-                (c, cost.blocked_gemm_seconds(&stats, choice.precision))
-            } else {
-                let (c, stats) = gemm::gemm_bt_ctx(&a, &b, precision, ctx)?;
-                (c, cost.tcu_gemm_seconds(&stats))
-            };
-            timeline.record_detail(
-                Phase::TcuKernel,
-                format!("{} {}x{}x{}", choice.kind, m, n, k),
-                kernel_secs,
-            );
-            let pairs = nonzero::nonzero(&c);
-            timeline.record_detail(
-                Phase::ResultMaterialize,
-                "nonzero extraction",
-                cost.nonzero_seconds(m, n, pairs.len()),
-            );
-            timeline.record_detail(
-                Phase::MemcpyDeviceToHost,
-                "copy result handle",
-                cost.d2h_seconds(RESULT_HANDLE_BYTES),
-            );
-            Ok(pairs)
-        }
-        PlanKind::TcuSparse if can_materialize && op == BinOp::Eq && !shape.fused_aggregate => {
-            timeline.record_detail(Phase::FillMatrices, "build CSR operands", dt);
-            timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let left_col = column_from_values(left_keys)?;
-            let right_col = column_from_values(right_keys)?;
-            let a = translate::one_hot_csr(&left_col, None, domain)?;
-            let b = translate::one_hot_csr(&right_col, None, domain)?;
-            let (c, stats) = spmm::tcu_spmm_ctx(&a, &b, precision, ctx)?;
-            timeline.record_detail(
-                Phase::TcuKernel,
-                format!(
-                    "TCU-SpMM {}x{}x{} ({} tiles, {:.1}% skipped)",
-                    m,
-                    n,
-                    k,
-                    stats.tiles_processed,
-                    stats.skip_ratio() * 100.0
-                ),
-                cost.tcu_spmm_seconds(&stats, choice.precision),
-            );
-            let pairs = nonzero::nonzero(&c);
-            timeline.record_detail(
-                Phase::ResultMaterialize,
-                "nonzero extraction",
-                cost.nonzero_seconds(m, n, pairs.len()),
-            );
-            timeline.record_detail(
-                Phase::MemcpyDeviceToHost,
-                "copy result handle",
-                cost.d2h_seconds(RESULT_HANDLE_BYTES),
-            );
+            handle_back(timeline);
             Ok(pairs)
         }
         // Non-equi joins on the TCU use the comparison matrix of §3.4 when
-        // small, otherwise a nested-loop equivalent with simulated GEMM
+        // small, otherwise the host comparison join with simulated GEMM
         // cost.
-        kind if op != BinOp::Eq => {
+        _ if step.op != BinOp::Eq => {
             timeline.record_detail(Phase::FillMatrices, "build comparison matrix", dt);
             timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let left_col = column_from_values(left_keys)?;
-            let right_col = column_from_values(right_keys)?;
             let pairs = if can_materialize {
-                let a = translate::comparison_matrix(&left_col, None, domain, op)?;
-                let b = translate::one_hot_matrix(&right_col, None, domain);
+                let a = translate::comparison_matrix_encoded(left, step.domain, step.op)?;
+                let b = translate::one_hot_matrix_encoded(right, right_remap, step.domain.len());
                 let (c, stats) = gemm::gemm_bt_ctx(&a, &b, precision, ctx)?;
                 timeline.record_detail(
                     Phase::TcuKernel,
@@ -939,17 +459,14 @@ fn execute_join_step(
                 );
                 nonzero::nonzero(&c)
             } else {
-                let all_left: Vec<usize> = (0..m).collect();
-                let all_right: Vec<usize> = (0..n).collect();
                 let stats = shape.dense_gemm_stats(choice.precision);
                 timeline.record_detail(
                     Phase::TcuKernel,
                     format!("non-equi TCU join {m}x{n}x{k} (simulated)"),
                     cost.tcu_gemm_seconds(&stats),
                 );
-                relops::nonequi_join_pairs(&left_col, &all_left, &right_col, &all_right, op)?
+                host_pairs(host)?
             };
-            let _ = kind;
             timeline.record_detail(
                 Phase::ResultMaterialize,
                 "nonzero extraction",
@@ -957,16 +474,63 @@ fn execute_join_step(
             );
             Ok(pairs)
         }
-        // Too large to materialise: run the hash-join equivalent but charge
-        // the simulated cost of the chosen TCU kernel on its exact shape.
+        PlanKind::TcuDense | PlanKind::TcuBlocked | PlanKind::TcuSparse
+            if can_materialize && !shape.fused_aggregate =>
+        {
+            let sparse = choice.kind == PlanKind::TcuSparse;
+            let fill = if sparse {
+                "build CSR operands"
+            } else {
+                "build one-hot matrices"
+            };
+            timeline.record_detail(Phase::FillMatrices, fill, dt);
+            timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
+            let (c, detail, kernel_secs) = if sparse {
+                let a = translate::one_hot_csr_encoded(left, left_remap, step.domain.len())?;
+                let b = translate::one_hot_csr_encoded(right, right_remap, step.domain.len())?;
+                let (c, stats) = spmm::tcu_spmm_ctx(&a, &b, precision, ctx)?;
+                let detail = format!(
+                    "TCU-SpMM {m}x{n}x{k} ({} tiles, {:.1}% skipped)",
+                    stats.tiles_processed,
+                    stats.skip_ratio() * 100.0
+                );
+                (c, detail, cost.tcu_spmm_seconds(&stats, choice.precision))
+            } else {
+                let a = translate::one_hot_matrix_encoded(left, left_remap, step.domain.len());
+                let b = translate::one_hot_matrix_encoded(right, right_remap, step.domain.len());
+                let detail = format!("{} {m}x{n}x{k}", choice.kind);
+                if choice.kind == PlanKind::TcuBlocked {
+                    // The bt-oriented blocked path packs the transpose
+                    // inside the kernel engine instead of materialising a
+                    // k×n copy here.
+                    let block = blocked::choose_block_size(cost.profile().device_mem_bytes);
+                    let (c, stats) = blocked::blocked_gemm_bt_ctx(&a, &b, precision, block, ctx)?;
+                    (
+                        c,
+                        detail,
+                        cost.blocked_gemm_seconds(&stats, choice.precision),
+                    )
+                } else {
+                    let (c, stats) = gemm::gemm_bt_ctx(&a, &b, precision, ctx)?;
+                    (c, detail, cost.tcu_gemm_seconds(&stats))
+                }
+            };
+            timeline.record_detail(Phase::TcuKernel, detail, kernel_secs);
+            let pairs = nonzero::nonzero(&c);
+            timeline.record_detail(
+                Phase::ResultMaterialize,
+                "nonzero extraction",
+                cost.nonzero_seconds(m, n, pairs.len()),
+            );
+            handle_back(timeline);
+            Ok(pairs)
+        }
+        // Too large to materialise (or fused): compute through the code
+        // join while charging the simulated cost of the chosen TCU kernel.
         kind => {
             timeline.record_detail(Phase::FillMatrices, "build matrices (GPU-assisted)", dt);
             timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let left_col = column_from_values(left_keys)?;
-            let right_col = column_from_values(right_keys)?;
-            let all_left: Vec<usize> = (0..m).collect();
-            let all_right: Vec<usize> = (0..n).collect();
-            let pairs = relops::hash_join_pairs(&left_col, &all_left, &right_col, &all_right);
+            let pairs = host_pairs(host)?;
             let kernel_secs = match kind {
                 PlanKind::TcuSparse => {
                     cost.tcu_spmm_seconds(&shape.estimated_spmm_stats(), choice.precision)
@@ -1069,68 +633,6 @@ pub fn estimate_working_set_bytes(analyzed: &AnalyzedQuery, optimizer: &Optimize
         peak = peak.max(shape.plan_working_set_bytes(choice.kind, choice.precision));
     }
     table_bytes + peak
-}
-
-/// Filter the batch by join predicates between already-joined tables that
-/// were not used as the primary join key of any step (composite join
-/// keys).
-fn filter_by_extra_joins(
-    analyzed: &AnalyzedQuery,
-    joined: &[usize],
-    batch: TupleBatch,
-) -> TcuResult<TupleBatch> {
-    // Collect predicates whose two sides are both joined.
-    let joined_set: HashSet<usize> = joined.iter().copied().collect();
-    let preds: Vec<_> = analyzed
-        .joins
-        .iter()
-        .filter(|j| joined_set.contains(&j.left.0) && joined_set.contains(&j.right.0))
-        .collect();
-    if preds.len() < joined.len() {
-        // Only the spanning-tree predicates exist; nothing extra to check.
-        return Ok(batch);
-    }
-    // Resolve each predicate's columns and batch slots once, then sweep
-    // the batch columns.
-    let pos_of = |t: usize| joined.iter().position(|&x| x == t).unwrap();
-    let mut resolved = Vec::with_capacity(preds.len());
-    for p in &preds {
-        let lt = &analyzed.tables[p.left.0].table;
-        let rt = &analyzed.tables[p.right.0].table;
-        let lc = lt.schema().require(&p.left.1)?;
-        let rc = rt.schema().require(&p.right.1)?;
-        resolved.push((
-            lt.column(lc),
-            batch.col(pos_of(p.left.0)),
-            rt.column(rc),
-            batch.col(pos_of(p.right.0)),
-            p.op,
-        ));
-    }
-    let mut keep = Vec::with_capacity(batch.len());
-    'tuple: for i in 0..batch.len() {
-        for (lcol, lrows, rcol, rrows, op) in &resolved {
-            let lv = lcol.value(lrows[i] as usize);
-            let rv = rcol.value(rrows[i] as usize);
-            let pass = match op {
-                BinOp::Eq => lv.sql_eq(&rv),
-                BinOp::NotEq => !lv.sql_eq(&rv),
-                BinOp::Lt => lv.sql_cmp(&rv) == std::cmp::Ordering::Less,
-                BinOp::LtEq => lv.sql_cmp(&rv) != std::cmp::Ordering::Greater,
-                BinOp::Gt => lv.sql_cmp(&rv) == std::cmp::Ordering::Greater,
-                BinOp::GtEq => lv.sql_cmp(&rv) != std::cmp::Ordering::Less,
-                _ => true,
-            };
-            if !pass {
-                continue 'tuple;
-            }
-        }
-        keep.push(i as u32);
-    }
-    if keep.len() == batch.len() {
-        return Ok(batch);
-    }
-    Ok(batch.select(&keep))
 }
 
 // ---------------------------------------------------------------------

@@ -19,9 +19,11 @@
 //! * [`translate`] — the **code generator**'s data-layout half: mapping
 //!   relational columns onto one-hot / valued / adjacency matrices over a
 //!   shared key domain (§3.1–3.3).
-//! * [`executor`] — the **program driver**: physical TCU operators
-//!   (`TcuJoin`, `TcuJoinAggregate`, `TcuSpmmJoin`, blocked variants) and
-//!   the fallback GPU operators, all reporting a per-phase
+//! * [`pipeline`] + [`executor`] — the **program driver**: [`pipeline`]
+//!   walks the join graph once for every engine; [`executor`] is TCUDB's
+//!   per-step policy — physical TCU operators (`TcuJoin`,
+//!   `TcuJoinAggregate`, `TcuSpmmJoin`, blocked variants) and the fallback
+//!   GPU operators, all reporting a per-phase
 //!   [`ExecutionTimeline`](tcudb_device::ExecutionTimeline).
 //! * [`engine`] — the public [`TcuDb`] facade: register tables, run SQL,
 //!   get back a result table, the chosen plan and the timing breakdown.
@@ -32,11 +34,12 @@
 //!   statements skip parse, analysis and per-join-step optimizer costing
 //!   (the `tcudb-serve` crate builds its scheduler on top of this).
 //!
-//! Shared building blocks used by the baseline engines (`tcudb-ydb`,
-//! `tcudb-monet`) live in [`context`] (expression evaluation), [`batch`]
+//! The baseline engines (`tcudb-ydb`, `tcudb-monet`) drive the same
+//! [`pipeline`] with their own step policy; the building blocks under it
+//! live in [`context`] (expression evaluation), [`batch`]
 //! (late-materialized struct-of-arrays tuple batches) and [`relops`]
-//! (reference hash join / aggregation plus the vectorized output
-//! pipeline).
+//! (chunked scans, code-bucket and comparison joins, the vectorized
+//! output pipeline).
 
 pub mod analyzer;
 pub mod batch;
@@ -44,6 +47,7 @@ pub mod context;
 pub mod engine;
 pub mod executor;
 pub mod optimizer;
+pub mod pipeline;
 pub mod plancache;
 pub mod relops;
 pub mod translate;

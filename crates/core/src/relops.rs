@@ -1,22 +1,22 @@
-//! Reference relational operators shared by every engine.
+//! Relational operators shared by every engine.
 //!
 //! These operators compute *what* a query returns; each engine charges its
 //! own simulated cost for *how* it would have computed it (TCU GEMM,
-//! GPU hash join, CPU hash join).  Keeping a single result path guarantees
-//! that TCUDB, the YDB baseline and the CPU baseline always agree on
-//! answers, which the integration tests assert.
+//! GPU hash join, CPU hash join).  Every engine reaches them through the
+//! one join driver in [`crate::pipeline`], which guarantees that TCUDB, the
+//! YDB baseline and the CPU baseline always agree on answers.
 //!
 //! # Output pipeline
 //!
-//! Two interchangeable implementations materialise a query's result:
-//!
-//! * [`finalize_output`] — the row-at-a-time `Value` interpreter, kept as
-//!   the semantic oracle (`EngineConfig::encoded_path = false`),
-//! * [`finalize_output_columnar`] — the vectorized, late-materialized
-//!   pipeline over a [`TupleBatch`]: group keys are composed from cached
-//!   dictionary codes into dense first-seen group ids, aggregates run as
-//!   segmented accumulation over `Vec<AggState>`, and projection/ORDER
-//!   BY/LIMIT work as typed gathers over a sort permutation.
+//! [`finalize_output_columnar`] materialises a query's result: the
+//! vectorized, late-materialized pipeline over a [`TupleBatch`].  Group
+//! keys are composed from cached dictionary codes into dense first-seen
+//! group ids, aggregates run as segmented accumulation over
+//! `Vec<AggState>`, and projection/ORDER BY/LIMIT work as typed gathers
+//! over a sort permutation.  The row-at-a-time [`finalize_output`] remains
+//! for the one shape the columnar pipeline does not cover — `GROUP BY` over
+//! a complex expression (`FinalizeReport::path == "value-fallback"`) — and
+//! as the evaluator the dev-only `tcudb-reference` oracle calls.
 //!
 //! ## When the §3.3 GEMM aggregation path is selected
 //!
@@ -44,7 +44,7 @@ use crate::analyzer::{
     batch_expr, simple_column, vectorizable_atom, AnalyzedQuery, BatchExpr, FilterAtom,
 };
 use crate::batch::{GroupIds, TupleBatch};
-use crate::context::{eval, eval_predicate, RowContext};
+use crate::context::{compare, eval, eval_predicate, RowContext};
 use crate::translate::{EncodedSource, NO_INDEX};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -57,67 +57,18 @@ use tcudb_types::sync::QueryContext;
 use tcudb_types::value::ValueKey;
 use tcudb_types::{DataType, MorselRun, TcuError, TcuResult, Value, WorkerPool};
 
-/// Equality hash join over two key columns restricted to row subsets.
-/// Returns pairs of *original* row indices `(left_row, right_row)`.
-pub fn hash_join_pairs(
-    left: &Column,
-    left_rows: &[usize],
-    right: &Column,
-    right_rows: &[usize],
-) -> Vec<(usize, usize)> {
-    // Build on the smaller side.
-    if right_rows.len() < left_rows.len() {
-        return hash_join_pairs(right, right_rows, left, left_rows)
-            .into_iter()
-            .map(|(r, l)| (l, r))
-            .collect();
-    }
-    let mut table: HashMap<ValueKey, Vec<usize>> = HashMap::with_capacity(left_rows.len());
-    for &r in left_rows {
-        table.entry(left.value(r).group_key()).or_default().push(r);
-    }
-    let mut out = Vec::new();
-    for &r in right_rows {
-        if let Some(matches) = table.get(&right.value(r).group_key()) {
-            for &l in matches {
-                out.push((l, r));
-            }
-        }
-    }
-    out
-}
-
-/// Equality join on dictionary codes remapped into a shared domain: the
-/// encoded counterpart of [`hash_join_pairs`].  Build and probe work on
-/// array-indexed buckets over domain indices — no `ValueKey` hashing, no
-/// `Value` materialisation.  Returns pairs of *positions* within the two
-/// selected sequences, in the same order [`hash_join_pairs`] produces for
-/// the same sides (build on the smaller side, probe the larger).
-pub fn join_pairs_by_code(
-    left: &EncodedSource<'_>,
-    left_remap: &[u32],
-    right: &EncodedSource<'_>,
-    right_remap: &[u32],
-    domain_len: usize,
-) -> Vec<(usize, usize)> {
-    join_pairs_by_code_morsels(
-        left,
-        left_remap,
-        right,
-        right_remap,
-        domain_len,
-        1,
-        usize::MAX,
-    )
-    .0
-}
-
-/// [`join_pairs_by_code`] with the probe side split into contiguous row
-/// morsels executed on the shared [`WorkerPool`].  The build side (the
-/// smaller input) is laid out once; each morsel probes one row range and
-/// the per-morsel outputs are concatenated in range order, so the pair
+/// Equality join on dictionary codes remapped into a shared domain.  Build
+/// and probe work on array-indexed buckets over domain indices — no
+/// `ValueKey` hashing, no `Value` materialisation.  Returns pairs of
+/// *positions* within the two selected sequences: build on the smaller
+/// side, probe the larger in order.
+///
+/// The probe side is split into contiguous `morsel_rows`-row morsels
+/// executed on the shared [`WorkerPool`] by up to `threads` threads.  The
+/// build side is laid out once; each morsel probes one row range and the
+/// per-morsel outputs are concatenated in range order, so the pair
 /// sequence is byte-identical to the serial probe for every thread count.
-pub fn join_pairs_by_code_morsels(
+pub fn join_pairs_by_code(
     left: &EncodedSource<'_>,
     left_remap: &[u32],
     right: &EncodedSource<'_>,
@@ -127,7 +78,7 @@ pub fn join_pairs_by_code_morsels(
     morsel_rows: usize,
 ) -> (Vec<(usize, usize)>, MorselRun) {
     if right.len() < left.len() {
-        let (pairs, run) = join_pairs_by_code_morsels(
+        let (pairs, run) = join_pairs_by_code(
             right,
             right_remap,
             left,
@@ -189,15 +140,17 @@ pub fn join_pairs_by_code_morsels(
     (out, run)
 }
 
-/// Non-equi join over two key columns restricted to row subsets, for the
-/// comparison operators of §3.4.  Each side's keys are extracted **once**
-/// into a typed buffer; on sortable keys (integer, non-NaN float, text)
-/// the ordering operators run as sort + `partition_point` instead of an
-/// O(n·m) comparison sweep.  Output order matches the reference nested
-/// loop exactly (left-major, right in `right_rows` order).
+/// Non-equi join over two key columns restricted to row selections, for
+/// the comparison operators of §3.4.  Returns pairs of *positions* within
+/// the two selections (`left_rows` is a tuple batch's row-index column, so
+/// it may repeat rows).  Each side's keys are extracted **once** into a
+/// typed buffer; on sortable keys (integer, non-NaN float, text) the
+/// ordering operators run as sort + `partition_point` instead of an O(n·m)
+/// comparison sweep.  Output order is the nested loop's: left-major, right
+/// in `right_rows` order.
 pub fn nonequi_join_pairs(
     left: &Column,
-    left_rows: &[usize],
+    left_rows: &[u32],
     right: &Column,
     right_rows: &[usize],
     op: BinOp,
@@ -205,78 +158,69 @@ pub fn nonequi_join_pairs(
     if !op.is_comparison() {
         return Err(TcuError::Plan(format!("{op} is not a join comparison")));
     }
+    let lrows = || left_rows.iter().map(|&r| r as usize);
     match (left, right) {
-        // Exact integer keys: every operator (incl. Eq/NotEq, which the
-        // interpreter compares as exact i64) can use the sorted path.
+        // Exact integer keys: every operator (incl. Eq/NotEq, which
+        // `compare` evaluates as exact i64) can use the sorted path.
         (Column::Int64(lv), Column::Int64(rv)) => {
-            let lk: Vec<i64> = left_rows.iter().map(|&r| lv[r]).collect();
+            let lk: Vec<i64> = lrows().map(|r| lv[r]).collect();
             let rk: Vec<i64> = right_rows.iter().map(|&r| rv[r]).collect();
-            Ok(nonequi_sorted(&lk, left_rows, &rk, right_rows, op))
+            Ok(nonequi_sorted(&lk, &rk, op))
         }
         (Column::Text(lv), Column::Text(rv)) => {
-            let lk: Vec<&str> = left_rows.iter().map(|&r| lv[r].as_str()).collect();
+            let lk: Vec<&str> = lrows().map(|r| lv[r].as_str()).collect();
             let rk: Vec<&str> = right_rows.iter().map(|&r| rv[r].as_str()).collect();
-            Ok(nonequi_sorted(&lk, left_rows, &rk, right_rows, op))
+            Ok(nonequi_sorted(&lk, &rk, op))
         }
         (l, r) if l.data_type().is_numeric() && r.data_type().is_numeric() => {
-            let lk: Vec<f64> = left_rows.iter().map(|&i| l.numeric(i).unwrap()).collect();
-            let rk: Vec<f64> = right_rows.iter().map(|&i| r.numeric(i).unwrap()).collect();
+            let lk: Vec<f64> = lrows().map(|i| l.numeric(i).expect("numeric")).collect();
+            let rk: Vec<f64> = right_rows
+                .iter()
+                .map(|&i| r.numeric(i).expect("numeric"))
+                .collect();
             // Mixed-numeric Eq/NotEq follow `group_key` (exact i64 for
             // integral values) rather than f64 equality, and NaNs break
             // the sort's total order — both fall back to the buffered
             // `Value` sweep.
             let nan = lk.iter().chain(&rk).any(|x| x.is_nan());
             if !nan && !matches!(op, BinOp::Eq | BinOp::NotEq) {
-                Ok(nonequi_sorted(&lk, left_rows, &rk, right_rows, op))
+                Ok(nonequi_sorted(&lk, &rk, op))
             } else {
-                Ok(nonequi_buffered(left, left_rows, right, right_rows, op))
+                nonequi_buffered(left, left_rows, right, right_rows, op)
             }
         }
-        // Cross-type text/numeric comparisons keep the reference `Value`
-        // semantics through the buffered sweep.
-        _ => Ok(nonequi_buffered(left, left_rows, right, right_rows, op)),
+        // Cross-type text/numeric comparisons keep the `Value` semantics
+        // through the buffered sweep.
+        _ => nonequi_buffered(left, left_rows, right, right_rows, op),
     }
 }
 
-/// Reference non-equi sweep with each side's `Value`s materialised once.
+/// Nested-loop non-equi sweep with each side's `Value`s materialised once.
 fn nonequi_buffered(
     left: &Column,
-    left_rows: &[usize],
+    left_rows: &[u32],
     right: &Column,
     right_rows: &[usize],
     op: BinOp,
-) -> Vec<(usize, usize)> {
-    let lvals: Vec<Value> = left_rows.iter().map(|&r| left.value(r)).collect();
+) -> TcuResult<Vec<(usize, usize)>> {
+    let lvals: Vec<Value> = left_rows.iter().map(|&r| left.value(r as usize)).collect();
     let rvals: Vec<Value> = right_rows.iter().map(|&r| right.value(r)).collect();
     let mut out = Vec::new();
     for (li, lv) in lvals.iter().enumerate() {
         for (rj, rv) in rvals.iter().enumerate() {
-            let ord = lv.sql_cmp(rv);
-            let hit = match op {
-                BinOp::Eq => lv.sql_eq(rv),
-                BinOp::NotEq => !lv.is_null() && !rv.is_null() && !lv.sql_eq(rv),
-                BinOp::Lt => ord == Ordering::Less,
-                BinOp::LtEq => ord != Ordering::Greater,
-                BinOp::Gt => ord == Ordering::Greater,
-                BinOp::GtEq => ord != Ordering::Less,
-                _ => unreachable!(),
-            };
-            if hit {
-                out.push((left_rows[li], right_rows[rj]));
+            if compare(lv, op, rv)? {
+                out.push((li, rj));
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Sorted-probe non-equi join: sort the right keys once, then locate each
-/// left key's matching range with `partition_point`.  `left_keys[i]`
-/// corresponds to `left_rows[i]` (likewise for the right side).
+/// left key's matching range with `partition_point`.
 fn nonequi_sorted<T: PartialOrd>(
     left_keys: &[T],
-    left_rows: &[usize],
     right_keys: &[T],
-    right_rows: &[usize],
     op: BinOp,
 ) -> Vec<(usize, usize)> {
     // Stable sort of right *positions* by key: equal keys keep their
@@ -312,101 +256,41 @@ fn nonequi_sorted<T: PartialOrd>(
             BinOp::Eq => (below(k), through(k)),
             BinOp::NotEq => {
                 // The complement of the equal range is nearly everything;
-                // a direct scan (already in right_rows order) beats
-                // copying and re-sorting n positions per left key.
-                for (rpos, rk) in right_keys.iter().enumerate() {
-                    if rk != k {
-                        out.push((left_rows[li], right_rows[rpos]));
-                    }
-                }
+                // a direct scan (already in right order) beats copying
+                // and re-sorting n positions per left key.
+                out.extend((0..n).filter(|&rj| right_keys[rj] != *k).map(|rj| (li, rj)));
                 continue;
             }
             _ => unreachable!("caller validated the comparison"),
         };
         positions.clear();
         positions.extend_from_slice(&order[a..b]);
-        // Emit in original right_rows order, as the nested loop does.
+        // Emit in original right order, as the nested loop does.
         positions.sort_unstable();
-        for &p in &positions {
-            out.push((left_rows[li], right_rows[p as usize]));
-        }
+        out.extend(positions.iter().map(|&p| (li, p as usize)));
     }
     out
 }
 
-/// Evaluate the single-table filters of an analyzed query, returning the
-/// surviving row indices per table.
-///
-/// This is the *reference* path (row-at-a-time interpreter, textual
-/// predicate order) shared by the baseline engines; the TCUDB executor
-/// opts into the vectorized kernels through [`apply_filters_with`].
-pub fn apply_filters(analyzed: &AnalyzedQuery) -> TcuResult<Vec<Vec<usize>>> {
-    apply_filters_with(analyzed, false)
-}
-
-/// [`apply_filters`] with the vectorized path switchable, so harnesses
-/// and the oracle tests can compare both.
-///
-/// When `vectorized`, predicates the analyzer classifies as
-/// [`FilterAtom`]s run as tight typed loops over the column data (text
-/// equality/ordering goes through the cached dictionary codes), producing
-/// a selection mask; only rows surviving the mask reach the expression
-/// interpreter for the remaining complex predicates.  Note the atoms are
-/// therefore evaluated *first* — a row rejected by an atom can no longer
-/// raise an evaluation error (e.g. division by zero) from a complex
-/// predicate that textually precedes it.
-pub fn apply_filters_with(
-    analyzed: &AnalyzedQuery,
-    vectorized: bool,
-) -> TcuResult<Vec<Vec<usize>>> {
-    apply_filters_ctx(analyzed, vectorized, &QueryContext::unbounded())
-}
-
-/// [`apply_filters_with`] under a cancellation/deadline context, probed
-/// per table and per scan morsel.  A cancelled query unwinds here with
-/// the typed error before any join work starts.
-///
-/// This legacy entry point runs the scan chunk-serially with zone-map
-/// pruning **off**, so row order, predicate evaluation order and error
-/// order are exactly the historical single-stream semantics; the executor
-/// opts into pruning and morsel parallelism through
-/// [`apply_filters_scan`].
-pub fn apply_filters_ctx(
-    analyzed: &AnalyzedQuery,
-    vectorized: bool,
-    qctx: &QueryContext,
-) -> TcuResult<Vec<Vec<usize>>> {
-    let opts = ScanOptions {
-        threads: 1,
-        zone_prune: false,
-        semi_join: false,
-    };
-    Ok(apply_filters_scan(analyzed, vectorized, qctx, &opts)?.0)
-}
-
-/// Knobs of the chunked scan pipeline ([`apply_filters_scan`]).
+/// An engine's scan policy for [`apply_filters_scan`].
 #[derive(Debug, Clone, Copy)]
 pub struct ScanOptions {
     /// Maximum threads one morsel run may use (1 = inline, serial).
     pub threads: usize,
-    /// Skip chunks whose zone maps cannot satisfy the table's own
-    /// [`FilterAtom`]s.  Pure pruning: never changes the surviving set.
-    pub zone_prune: bool,
-    /// Additionally push min/max key ranges from already-filtered join
-    /// partners and prune chunks that cannot contain a joinable key.
-    /// This *shrinks* per-table surviving sets (rows that provably join
-    /// nothing are dropped before the join), so it is only enabled on the
-    /// executor path where every downstream consumer is the join itself —
-    /// final query results are unchanged.
+    /// Push min/max key ranges from already-filtered join partners and
+    /// prune chunks that cannot contain a joinable key.  This *shrinks*
+    /// per-table surviving sets (rows that provably join nothing are
+    /// dropped before the join), so final query results are unchanged but
+    /// anything that reads the surviving counts — the baselines' cost
+    /// formulas — must leave it off.
     pub semi_join: bool,
 }
 
 impl ScanOptions {
-    /// Chunk-serial scan with pruning but no cross-table pushdown.
+    /// Chunk-serial scan with no cross-table pushdown (the baselines).
     pub fn serial() -> ScanOptions {
         ScanOptions {
             threads: 1,
-            zone_prune: true,
             semi_join: false,
         }
     }
@@ -434,23 +318,27 @@ pub struct ScanStats {
     pub workers: u64,
 }
 
-/// The executor's scan entry point: evaluate every table's single-table
-/// filters over its column chunks, with zone-map pruning and
-/// morsel-parallel evaluation on the shared [`WorkerPool`].
+/// The scan every engine runs: evaluate each table's single-table filters
+/// over its column chunks, with zone-map pruning (pure: a pruned chunk
+/// could not have contributed a row) and morsel-parallel evaluation on the
+/// shared [`WorkerPool`].
+///
+/// Predicates the analyzer classifies as [`FilterAtom`]s run as tight
+/// typed loops over the column data (text equality/ordering goes through
+/// the cached dictionary codes), producing a selection mask; only rows
+/// surviving the mask reach the expression interpreter for the remaining
+/// complex predicates.  The atoms are therefore evaluated *first* — a row
+/// rejected by an atom can no longer raise an evaluation error (e.g.
+/// division by zero) from a complex predicate that textually precedes it.
 ///
 /// Determinism: kept chunks are scanned as index-ordered morsels whose
 /// results are concatenated in chunk order, so the surviving row sets —
 /// and the first error, if any — are identical for every thread count.
-/// Atoms are classified in **both** the vectorized and the interpreter
-/// mode so that two engines differing only in `vectorized` prune (and
-/// report) identically; the interpreter mode still evaluates all
-/// predicates row-at-a-time on the chunks it scans.
 ///
 /// Returns `(surviving rows per table, per-table chunk accounting,
 /// aggregate stats)`.
 pub fn apply_filters_scan(
     analyzed: &AnalyzedQuery,
-    vectorized: bool,
     qctx: &QueryContext,
     opts: &ScanOptions,
 ) -> TcuResult<(Vec<Vec<usize>>, Vec<TableScan>, ScanStats)> {
@@ -478,9 +366,8 @@ pub fn apply_filters_scan(
         let nrows = table.num_rows();
         let filters = analyzed.filters_for_table(ti);
 
-        // Classify the table's predicates (pruning needs the atoms in
-        // both modes; only the vectorized path evaluates them as typed
-        // kernels).
+        // Classify the table's predicates: atoms prune chunks and run as
+        // typed kernels, the rest goes to the interpreter.
         let mut atoms: Vec<FilterAtom> = Vec::new();
         let mut complex: Vec<&Expr> = Vec::new();
         for f in &filters {
@@ -494,15 +381,13 @@ pub fn apply_filters_scan(
         let chunk_rows = table.chunk_rows();
         let total = chunk::chunk_count(nrows, chunk_rows);
         let mut constraints: Vec<(std::sync::Arc<chunk::ColumnZones>, f64, f64)> = Vec::new();
-        if opts.zone_prune {
-            for a in &atoms {
-                if let Some((col, lo, hi)) = atom_interval(a) {
-                    constraints.push((table.zone_map(col), lo, hi));
-                }
-            }
-            for &(col, lo, hi) in &pushed[ti] {
+        for a in &atoms {
+            if let Some((col, lo, hi)) = atom_interval(a) {
                 constraints.push((table.zone_map(col), lo, hi));
             }
+        }
+        for &(col, lo, hi) in &pushed[ti] {
+            constraints.push((table.zone_map(col), lo, hi));
         }
         let kept: Vec<usize> = (0..total)
             .filter(|&k| {
@@ -523,12 +408,10 @@ pub fn apply_filters_scan(
             // Unfiltered and nothing pruned: the identity selection.
             (0..nrows).collect()
         } else {
-            let eval_atoms: &[FilterAtom] = if vectorized { &atoms } else { &[] };
-            let eval_complex: &[&Expr] = if vectorized { &complex } else { &filters };
             let scan_chunk = |ci: usize| -> TcuResult<Vec<usize>> {
                 qctx.check()?;
                 let (start, end) = chunk::chunk_span(nrows, chunk_rows, kept[ci]);
-                scan_range(analyzed, ti, table, start, end, eval_atoms, eval_complex)
+                scan_range(analyzed, ti, table, start, end, &atoms, &complex)
             };
             let (parts, run) = pool.run_chunks(kept.len(), opts.threads.max(1), scan_chunk);
             stats.morsels += run.morsels;
@@ -797,8 +680,8 @@ fn apply_filter_atom_range(
                     match op {
                         BinOp::Eq | BinOp::NotEq => {
                             let want_eq = op == BinOp::Eq;
-                            // group_key: the one normalisation both paths
-                            // share (ValueKey::from_f64).
+                            // group_key: the normalisation this kernel and
+                            // the interpreter share (ValueKey::from_f64).
                             let key = lit.group_key();
                             mask_by(mask, v, |a| (ValueKey::from_f64(a) == key) == want_eq);
                         }
@@ -973,10 +856,13 @@ impl AggState {
 }
 
 /// Materialise the final output table of a query from the joined row
-/// tuples (one row index per bound table, in table order).
+/// tuples (one row index per bound table, in table order), one `Value` at
+/// a time.
 ///
 /// Handles residual predicates, projection, grouped and ungrouped
-/// aggregation, ORDER BY and LIMIT.
+/// aggregation, ORDER BY and LIMIT.  Production reaches it only for
+/// `GROUP BY` over a complex expression; everything else runs through
+/// [`finalize_output_columnar`].
 pub fn finalize_output(analyzed: &AnalyzedQuery, tuples: &[Vec<usize>]) -> TcuResult<Table> {
     let mut ctx = analyzed.row_context();
     let stmt = &analyzed.stmt;
@@ -1212,13 +1098,14 @@ pub fn table_from_rows(
 //   TupleBatch → residual mask → dense group ids → segmented /
 //   one-hot-GEMM aggregation → typed gather.
 //
-// The row-at-a-time [`finalize_output`] above stays intact as the oracle
-// (`EngineConfig::encoded_path(false)` selects it); the `encoded_oracle`
-// proptests hold the two bit-identical.  Like the vectorized filters, the
-// one observable difference is *error ordering*: the columnar pipeline
-// evaluates each output expression over all tuples before moving to the
-// next, so when two expressions would both fail, the error may come from
-// a different (expression, row) pair than the tuple-order interpreter's.
+// The row-at-a-time [`finalize_output`] above is its fallback for complex
+// GROUP BY expressions and what the `tcudb-reference` oracle evaluates;
+// the `encoded_oracle` proptests hold the two bit-identical.  Like the
+// filter atoms, the one observable difference is *error ordering*: the
+// columnar pipeline evaluates each output expression over all tuples
+// before moving to the next, so when two expressions would both fail,
+// the error may come from a different (expression, row) pair than the
+// tuple-order interpreter's.
 // ---------------------------------------------------------------------
 
 /// Tunables of the columnar output pipeline.
@@ -1941,20 +1828,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_produces_all_pairs() {
-        let left = Column::Int64(vec![1, 1, 2, 3]);
-        let right = Column::Int64(vec![1, 2, 2]);
-        let all_left: Vec<usize> = (0..4).collect();
-        let all_right: Vec<usize> = (0..3).collect();
-        let mut pairs = hash_join_pairs(&left, &all_left, &right, &all_right);
-        pairs.sort();
-        assert_eq!(pairs, vec![(0, 0), (1, 0), (2, 1), (2, 2)]);
-        // Restricting rows restricts matches.
-        let restricted = hash_join_pairs(&left, &[0], &right, &all_right);
-        assert_eq!(restricted, vec![(0, 0)]);
-    }
-
-    #[test]
     fn nonequi_join_lt() {
         let left = Column::Int64(vec![1, 2]);
         let right = Column::Int64(vec![1, 2, 3]);
@@ -1964,10 +1837,12 @@ mod tests {
     }
 
     #[test]
-    fn nonequi_sorted_paths_match_buffered_reference() {
+    fn nonequi_sorted_paths_match_buffered_sweep() {
         let li = Column::Int64(vec![3, 1, 4, 1, 5, 9, 2, 6]);
         let ri = Column::Int64(vec![5, 3, 5, 8, 9, 7, 9]);
-        let lrows: Vec<usize> = vec![0, 2, 3, 5, 7];
+        // Row selections with repeats and out-of-order rows: the pairs are
+        // positions within the selections, not base rows.
+        let lrows: Vec<u32> = vec![0, 2, 3, 5, 7, 2];
         let rrows: Vec<usize> = vec![1, 0, 4, 6, 2];
         let lt = Column::Text(vec!["b".into(), "a".into(), "c".into(), "a".into()]);
         let rt = Column::Text(vec!["a".into(), "c".into(), "b".into()]);
@@ -1981,99 +1856,49 @@ mod tests {
             BinOp::NotEq,
         ] {
             let got = nonequi_join_pairs(&li, &lrows, &ri, &rrows, op).unwrap();
-            assert_eq!(got, nonequi_buffered(&li, &lrows, &ri, &rrows, op), "{op}");
+            let want = nonequi_buffered(&li, &lrows, &ri, &rrows, op).unwrap();
+            assert_eq!(got, want, "{op}");
             let got_t = nonequi_join_pairs(&lt, &[0, 1, 2, 3], &rt, &[2, 0, 1], op).unwrap();
-            assert_eq!(
-                got_t,
-                nonequi_buffered(&lt, &[0, 1, 2, 3], &rt, &[2, 0, 1], op),
-                "text {op}"
-            );
+            let want_t = nonequi_buffered(&lt, &[0, 1, 2, 3], &rt, &[2, 0, 1], op).unwrap();
+            assert_eq!(got_t, want_t, "text {op}");
             // Mixed numeric (float left, int right).
             let got_m = nonequi_join_pairs(&lf, &[0, 1, 2, 3], &ri, &rrows, op).unwrap();
-            assert_eq!(
-                got_m,
-                nonequi_buffered(&lf, &[0, 1, 2, 3], &ri, &rrows, op),
-                "mixed {op}"
-            );
+            let want_m = nonequi_buffered(&lf, &[0, 1, 2, 3], &ri, &rrows, op).unwrap();
+            assert_eq!(got_m, want_m, "mixed {op}");
         }
         // NaNs force the buffered fallback; results still match.
         let nan = Column::Float64(vec![1.0, f64::NAN]);
         let got = nonequi_join_pairs(&nan, &[0, 1], &lf, &[0, 1, 2, 3], BinOp::LtEq).unwrap();
-        assert_eq!(
-            got,
-            nonequi_buffered(&nan, &[0, 1], &lf, &[0, 1, 2, 3], BinOp::LtEq)
-        );
+        let want = nonequi_buffered(&nan, &[0, 1], &lf, &[0, 1, 2, 3], BinOp::LtEq).unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn code_join_matches_hash_join() {
+    fn code_join_builds_on_the_smaller_side_and_probes_in_order() {
         use crate::translate::Domain;
-        use tcudb_storage::DictColumn;
         let left = Column::Int64(vec![1, 1, 2, 3, 7]);
         let right = Column::Int64(vec![1, 2, 2, 9]);
         let ld = DictColumn::build(&left);
         let rd = DictColumn::build(&right);
-        // Both orientations, since build/probe side selection depends on
-        // relative sizes and changes the output order.
-        for (lr, rr) in [
-            ((0..5).collect::<Vec<_>>(), (0..4).collect::<Vec<_>>()),
-            (vec![0, 2], (0..4).collect()),
-            (vec![], (0..4).collect()),
-        ] {
-            let lsrc = EncodedSource::subset(&ld, &lr);
-            let rsrc = EncodedSource::subset(&rd, &rr);
+        let join = |lr: &[usize], rr: &[usize], threads: usize, morsel: usize| {
+            let lsrc = EncodedSource::subset(&ld, lr);
+            let rsrc = EncodedSource::subset(&rd, rr);
             let (dom, maps) = Domain::build_encoded(&[lsrc, rsrc]);
-            let got = join_pairs_by_code(&lsrc, &maps[0], &rsrc, &maps[1], dom.len());
-            // hash_join_pairs over positions (gathered columns).
-            let lcol = left.gather(&lr);
-            let rcol = right.gather(&rr);
-            let lpos: Vec<usize> = (0..lr.len()).collect();
-            let rpos: Vec<usize> = (0..rr.len()).collect();
-            let want = hash_join_pairs(&lcol, &lpos, &rcol, &rpos);
-            assert_eq!(got, want, "lr={lr:?}");
-        }
-    }
-
-    #[test]
-    fn vectorized_filters_match_interpreter() {
-        let mut cat = Catalog::new();
-        let schema = Schema::from_pairs(&[
-            ("i", DataType::Int64),
-            ("f", DataType::Float64),
-            ("s", DataType::Text),
-        ]);
-        let t = Table::from_columns(
-            "T",
-            schema,
-            vec![
-                Column::Int64(vec![1, 2, 3, 4, 5]),
-                Column::Float64(vec![1.5, 2.0, -1.0, 4.0, 5.5]),
-                Column::Text(vec![
-                    "a".into(),
-                    "bb".into(),
-                    "a".into(),
-                    "cc".into(),
-                    "bb".into(),
-                ]),
-            ],
-        )
-        .unwrap();
-        cat.register(t);
-        for sql in [
-            "SELECT T.i FROM T WHERE T.i >= 2 AND T.i < 5",
-            "SELECT T.i FROM T WHERE T.f > 1.5 AND T.s <> 'bb'",
-            "SELECT T.i FROM T WHERE T.s = 'a' OR T.s = 'cc'", // OR → interpreter
-            "SELECT T.i FROM T WHERE T.i BETWEEN 2 AND 4 AND T.f = 2",
-            "SELECT T.i FROM T WHERE 3 < T.i",
-            "SELECT T.i FROM T WHERE T.s >= 'bb'",
-            "SELECT T.i FROM T WHERE T.i + 1 > 3 AND T.i <= 4", // mixed
-            "SELECT T.i FROM T WHERE T.f = 2.5",
-        ] {
-            let q = analyze(&parse(sql).unwrap(), &cat).unwrap();
-            let fast = apply_filters_with(&q, true).unwrap();
-            let slow = apply_filters_with(&q, false).unwrap();
-            assert_eq!(fast, slow, "{sql}");
-        }
+            join_pairs_by_code(&lsrc, &maps[0], &rsrc, &maps[1], dom.len(), threads, morsel).0
+        };
+        let all_l: Vec<usize> = (0..5).collect();
+        let all_r: Vec<usize> = (0..4).collect();
+        // Right is smaller: built on the right, probed left-major.
+        let serial = join(&all_l, &all_r, 1, usize::MAX);
+        assert_eq!(serial, vec![(0, 0), (1, 0), (2, 1), (2, 2)]);
+        // Left is smaller: built on the left, probed right-major.
+        assert_eq!(
+            join(&[2, 0], &all_r, 1, usize::MAX),
+            vec![(1, 0), (0, 1), (0, 2)]
+        );
+        assert!(join(&[], &all_r, 1, usize::MAX).is_empty());
+        // Morsel size and thread count never change the pair sequence.
+        assert_eq!(join(&all_l, &all_r, 3, 2), serial);
     }
 
     #[test]
@@ -2085,7 +1910,8 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let surviving = apply_filters(&q).unwrap();
+        let (surviving, ..) =
+            apply_filters_scan(&q, &QueryContext::unbounded(), &ScanOptions::serial()).unwrap();
         assert_eq!(surviving[0], vec![2, 3]);
         assert_eq!(surviving[1], vec![1]);
     }
@@ -2174,26 +2000,6 @@ mod tests {
         let tuples = vec![vec![0, 0], vec![1, 0], vec![2, 1], vec![2, 2]];
         let out = finalize_output(&q, &tuples).unwrap();
         assert_eq!(out.num_rows(), 1);
-    }
-
-    #[test]
-    fn vectorized_filters_reorder_error_raising_predicates() {
-        // Documented divergence: the atom `T.i = 5` masks out the i=0 row
-        // before the division predicate runs, so the vectorized path
-        // succeeds where the interpreter (which evaluates predicates in
-        // textual order on every row) raises division by zero.
-        let mut cat = Catalog::new();
-        cat.register(
-            Table::from_int_columns("T", &[("i", vec![0, 5]), ("v", vec![1, 2])]).unwrap(),
-        );
-        let q = analyze(
-            &parse("SELECT T.v FROM T WHERE T.v / T.i > 0 AND T.i = 5").unwrap(),
-            &cat,
-        )
-        .unwrap();
-        assert!(apply_filters_with(&q, false).is_err());
-        let fast = apply_filters_with(&q, true).unwrap();
-        assert_eq!(fast, vec![vec![1]]);
     }
 
     /// Run both finalize paths over the same tuples and assert equality.

@@ -12,7 +12,12 @@
 //!   alternative encoding of §3.1 and the group-by side `mat(B)` of §3.3),
 //! * a **comparison matrix** with `mat(A)[i][j] = 1` iff
 //!   `key_i <op> domain_j` (the non-equi joins of §3.4).
+//!
+//! Join operands are built from dictionary codes (the `*_encoded`
+//! builders); the `Value`-walking builders that remain serve the
+//! stand-alone Lemma 3.1 / Figure 5 operators in `executor`.
 
+use crate::context::compare;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use tcudb_sql::BinOp;
@@ -192,22 +197,9 @@ fn selected_rows<'a>(col: &Column, rows: Option<&'a [usize]>) -> Cow<'a, [usize]
     }
 }
 
-/// Build the one-hot join matrix of §3.1: one row per (selected) table row,
-/// one column per domain value, 1 where the key matches.
-pub fn one_hot_matrix(key_col: &Column, rows: Option<&[usize]>, domain: &Domain) -> DenseMatrix {
-    let rows = selected_rows(key_col, rows);
-    let mut m = DenseMatrix::zeros(rows.len(), domain.len());
-    for (i, &r) in rows.iter().enumerate() {
-        if let Some(j) = domain.index_of(&key_col.value(r)) {
-            m.set(i, j, 1.0);
-        }
-    }
-    m
-}
-
-/// Build the valued matrix of §3.3: like [`one_hot_matrix`] but the
-/// non-zero entry carries the row's payload value (`a_i.Val` for SUM, 1 for
-/// COUNT).
+/// Build the valued matrix of §3.3: one row per (selected) table row, one
+/// column per domain value; the non-zero entry carries the row's payload
+/// value (`a_i.Val` for SUM, 1 for COUNT).
 pub fn valued_matrix(
     key_col: &Column,
     payload: &[f64],
@@ -251,81 +243,11 @@ pub fn adjacency_matrix(
     m
 }
 
-/// Does `ord` (of `key <cmp> domain value`) satisfy the comparison `op`?
-fn cmp_hit(ord: std::cmp::Ordering, op: BinOp) -> TcuResult<bool> {
-    Ok(match op {
-        BinOp::Lt => ord == std::cmp::Ordering::Less,
-        BinOp::LtEq => ord != std::cmp::Ordering::Greater,
-        BinOp::Gt => ord == std::cmp::Ordering::Greater,
-        BinOp::GtEq => ord != std::cmp::Ordering::Less,
-        BinOp::NotEq => ord != std::cmp::Ordering::Equal,
-        BinOp::Eq => ord == std::cmp::Ordering::Equal,
-        other => {
-            return Err(tcudb_types::TcuError::Plan(format!(
-                "operator {other} is not a comparison"
-            )))
-        }
-    })
-}
-
-/// Build the comparison matrix of §3.4 for non-equi joins: entry `(i, j)`
-/// is 1 when `key_i <op> domain_j` holds.
-pub fn comparison_matrix(
-    key_col: &Column,
-    rows: Option<&[usize]>,
-    domain: &Domain,
-    op: BinOp,
-) -> TcuResult<DenseMatrix> {
-    let rows = selected_rows(key_col, rows);
-    let mut m = DenseMatrix::zeros(rows.len(), domain.len());
-    for (i, &r) in rows.iter().enumerate() {
-        let key = key_col.value(r);
-        for j in 0..domain.len() {
-            if cmp_hit(key.sql_cmp(domain.value_at(j)), op)? {
-                m.set(i, j, 1.0);
-            }
-        }
-    }
-    Ok(m)
-}
-
-/// Sparse (CSR) version of the one-hot join matrix, used by the TCU-SpMM
-/// plan so the dense matrix never has to be materialised.
-pub fn one_hot_csr(
-    key_col: &Column,
-    rows: Option<&[usize]>,
-    domain: &Domain,
-) -> TcuResult<CsrMatrix> {
-    let rows = selected_rows(key_col, rows);
-    let mut triplets = Vec::with_capacity(rows.len());
-    for (i, &r) in rows.iter().enumerate() {
-        if let Some(j) = domain.index_of(&key_col.value(r)) {
-            triplets.push((i, j, 1.0f32));
-        }
-    }
-    CsrMatrix::from_triplets(rows.len(), domain.len(), &triplets)
-}
-
-/// Sparse (CSR) version of [`valued_matrix`].
-pub fn valued_csr(
-    key_col: &Column,
-    payload: &[f64],
-    rows: Option<&[usize]>,
-    domain: &Domain,
-) -> TcuResult<CsrMatrix> {
-    let rows = selected_rows(key_col, rows);
-    let mut triplets = Vec::with_capacity(rows.len());
-    for (i, &r) in rows.iter().enumerate() {
-        if let Some(j) = domain.index_of(&key_col.value(r)) {
-            triplets.push((i, j, payload[i] as f32));
-        }
-    }
-    CsrMatrix::from_triplets(rows.len(), domain.len(), &triplets)
-}
-
 // ---------------------------------------------------------------------
 // Encoded builders: scatter dictionary codes through a remap table with
-// no `Value` materialisation and no per-element hash lookup.
+// no `Value` materialisation and no per-element hash lookup.  The
+// `Value`-walking one-hot / CSR / comparison builders they are tested
+// against live in the dev-only `tcudb-reference` crate.
 // ---------------------------------------------------------------------
 
 impl EncodedSource<'_> {
@@ -339,7 +261,9 @@ impl EncodedSource<'_> {
     }
 }
 
-/// Encoded [`one_hot_matrix`]: one array read and one store per row.
+/// The one-hot join matrix of §3.1: one row per selected table row, one
+/// column per domain value, 1 where the key matches — one array read and
+/// one store per row.
 pub fn one_hot_matrix_encoded(
     src: &EncodedSource<'_>,
     remap: &[u32],
@@ -399,7 +323,8 @@ pub fn adjacency_matrix_encoded(
     m
 }
 
-/// Encoded [`comparison_matrix`]: the comparison row of each *distinct*
+/// The comparison matrix of §3.4 for non-equi joins: entry `(i, j)` is 1
+/// when `key_i <op> domain_j` holds.  The comparison row of each *distinct*
 /// key is computed once against the domain and then copied per row, so
 /// duplicated keys cost a `memcpy` instead of `len(domain)` comparisons.
 pub fn comparison_matrix_encoded(
@@ -416,7 +341,7 @@ pub fn comparison_matrix_encoded(
             let key = src.dict.value(code as u32);
             let mut row = vec![0.0f32; domain.len()];
             for (j, slot) in row.iter_mut().enumerate() {
-                if cmp_hit(key.sql_cmp(domain.value_at(j)), op)? {
+                if compare(key, op, domain.value_at(j))? {
                     *slot = 1.0;
                 }
             }
@@ -428,7 +353,8 @@ pub fn comparison_matrix_encoded(
     Ok(m)
 }
 
-/// Encoded [`one_hot_csr`].
+/// Sparse (CSR) form of [`one_hot_matrix_encoded`], used by the TCU-SpMM
+/// plan so the dense matrix never has to be materialised.
 pub fn one_hot_csr_encoded(
     src: &EncodedSource<'_>,
     remap: &[u32],
@@ -445,7 +371,7 @@ pub fn one_hot_csr_encoded(
     CsrMatrix::from_triplets(n, domain_len, &triplets)
 }
 
-/// Encoded [`valued_csr`].
+/// Sparse (CSR) form of [`valued_matrix_encoded`].
 pub fn valued_csr_encoded(
     src: &EncodedSource<'_>,
     payload: &[f64],
@@ -494,14 +420,13 @@ mod tests {
 
     #[test]
     fn one_hot_has_single_one_per_row() {
-        let col = key_col();
-        let dom = Domain::build(&[(&col, None)]);
-        let m = one_hot_matrix(&col, None, &dom);
-        assert_eq!(m.rows(), 4);
-        assert_eq!(m.cols(), 3);
+        let dict = DictColumn::build(&key_col());
+        let src = EncodedSource::whole(&dict);
+        let (dom, maps) = Domain::build_encoded(&[src]);
+        let m = one_hot_matrix_encoded(&src, &maps[0], dom.len());
+        assert_eq!((m.rows(), m.cols()), (4, 3));
         for i in 0..4 {
-            let ones: f32 = m.row(i).iter().sum();
-            assert_eq!(ones, 1.0);
+            assert_eq!(m.row(i).iter().sum::<f32>(), 1.0);
         }
         // Row 0 and row 2 share key 10 → same column set.
         assert_eq!(m.row(0), m.row(2));
@@ -533,29 +458,42 @@ mod tests {
 
     #[test]
     fn comparison_matrix_lt() {
-        let col = Column::Int64(vec![1, 2]);
+        let dict = DictColumn::build(&Column::Int64(vec![1, 2]));
+        let src = EncodedSource::whole(&dict);
         let dom = Domain::build(&[(&Column::Int64(vec![1, 2, 3]), None)]);
-        let m = comparison_matrix(&col, None, &dom, BinOp::Lt).unwrap();
+        let m = comparison_matrix_encoded(&src, &dom, BinOp::Lt).unwrap();
         // key 1 < {2,3}; key 2 < {3}.
         assert_eq!(m.row(0), &[0.0, 1.0, 1.0]);
         assert_eq!(m.row(1), &[0.0, 0.0, 1.0]);
-        let ne = comparison_matrix(&col, None, &dom, BinOp::NotEq).unwrap();
+        let ne = comparison_matrix_encoded(&src, &dom, BinOp::NotEq).unwrap();
         assert_eq!(ne.row(0), &[0.0, 1.0, 1.0]);
-        assert!(comparison_matrix(&col, None, &dom, BinOp::Add).is_err());
+        assert!(comparison_matrix_encoded(&src, &dom, BinOp::Add).is_err());
     }
 
     #[test]
-    fn csr_builders_match_dense() {
+    fn csr_builders_match_dense_and_respect_subsets() {
         let col = key_col();
-        let dom = Domain::build(&[(&col, None)]);
-        let dense = one_hot_matrix(&col, None, &dom);
-        let sparse = one_hot_csr(&col, None, &dom).unwrap();
-        assert_eq!(sparse.to_dense(), dense);
+        let dict = DictColumn::build(&col);
+        let rows = [3usize, 0, 2];
+        for subset in [None, Some(&rows[..])] {
+            let src = EncodedSource {
+                dict: &dict,
+                codes: dict.codes(),
+                rows: subset,
+            };
+            let (dom, maps) = Domain::build_encoded(&[src]);
+            assert_eq!(dom.values(), Domain::build(&[(&col, subset)]).values());
+            let remap = &maps[0];
+            let dense = one_hot_matrix_encoded(&src, remap, dom.len());
+            let sparse = one_hot_csr_encoded(&src, remap, dom.len()).unwrap();
+            assert_eq!(sparse.to_dense(), dense);
 
-        let payload = [1.0, 2.0, 3.0, 4.0];
-        let vd = valued_matrix(&col, &payload, None, &dom);
-        let vs = valued_csr(&col, &payload, None, &dom).unwrap();
-        assert_eq!(vs.to_dense(), vd);
+            let payload: Vec<f64> = (0..src.len()).map(|i| i as f64 + 0.5).collect();
+            let vd = valued_matrix_encoded(&src, &payload, remap, dom.len());
+            assert_eq!(vd, valued_matrix(&col, &payload, subset, &dom));
+            let vs = valued_csr_encoded(&src, &payload, remap, dom.len()).unwrap();
+            assert_eq!(vs.to_dense(), vd);
+        }
     }
 
     #[test]
@@ -580,50 +518,6 @@ mod tests {
         }
         for (code, v) in db.values().iter().enumerate() {
             assert_eq!(maps[1][code], dom.index_of(v).unwrap() as u32);
-        }
-    }
-
-    #[test]
-    fn encoded_builders_match_value_builders() {
-        let col = key_col();
-        let dict = DictColumn::build(&col);
-        let rows = [3usize, 0, 2];
-        for subset in [None, Some(&rows[..])] {
-            let dom_sources: Vec<(&Column, Option<&[usize]>)> = vec![(&col, subset)];
-            let dom = Domain::build(&dom_sources);
-            let src = EncodedSource {
-                dict: &dict,
-                codes: dict.codes(),
-                rows: subset,
-            };
-            let (edom, maps) = Domain::build_encoded(&[src]);
-            assert_eq!(edom.values(), dom.values());
-            let remap = &maps[0];
-
-            assert_eq!(
-                one_hot_matrix_encoded(&src, remap, dom.len()),
-                one_hot_matrix(&col, subset, &dom)
-            );
-            let payload: Vec<f64> = (0..src.len()).map(|i| i as f64 + 0.5).collect();
-            assert_eq!(
-                valued_matrix_encoded(&src, &payload, remap, dom.len()),
-                valued_matrix(&col, &payload, subset, &dom)
-            );
-            assert_eq!(
-                one_hot_csr_encoded(&src, remap, dom.len()).unwrap(),
-                one_hot_csr(&col, subset, &dom).unwrap()
-            );
-            assert_eq!(
-                valued_csr_encoded(&src, &payload, remap, dom.len()).unwrap(),
-                valued_csr(&col, &payload, subset, &dom).unwrap()
-            );
-            for op in [BinOp::Lt, BinOp::GtEq, BinOp::NotEq] {
-                assert_eq!(
-                    comparison_matrix_encoded(&src, &dom, op).unwrap(),
-                    comparison_matrix(&col, subset, &dom, op).unwrap()
-                );
-            }
-            assert!(comparison_matrix_encoded(&src, &dom, BinOp::Add).is_err());
         }
     }
 
@@ -654,10 +548,11 @@ mod tests {
 
     #[test]
     fn text_keys_work() {
-        let col = Column::Text(vec!["x".into(), "y".into(), "x".into()]);
-        let dom = Domain::build(&[(&col, None)]);
+        let dict = DictColumn::build(&Column::Text(vec!["x".into(), "y".into(), "x".into()]));
+        let src = EncodedSource::whole(&dict);
+        let (dom, maps) = Domain::build_encoded(&[src]);
         assert_eq!(dom.len(), 2);
-        let m = one_hot_matrix(&col, None, &dom);
+        let m = one_hot_matrix_encoded(&src, &maps[0], dom.len());
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(2, 0), 1.0);
         assert_eq!(m.get(1, 1), 1.0);

@@ -20,6 +20,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tcudb_core::{EngineConfig, TcuDb};
+use tcudb_reference::comparable_rows;
 use tcudb_storage::{Catalog, DurabilityOptions, MemBackend, Table};
 use tcudb_types::sync::{CancellationToken, Deadline, QueryContext};
 use tcudb_types::{TcuError, Value};
@@ -211,16 +212,14 @@ fn chaos_readers_cancellation_and_transient_faults_compose() {
     const APPENDS: usize = 24;
     let join = "SELECT SUM(A.val), B.val FROM A, B WHERE A.id = B.id GROUP BY B.val";
 
-    // Shadow oracle: the serial interpreter's answer after 0..=k appends.
-    // Any reader snapshot pinned one of these states.
-    let mut valid: Vec<Table> = Vec::new();
+    // Shadow oracle: the row-at-a-time reference's answer after 0..=k
+    // appends.  Any reader snapshot pinned one of these states.
+    let rows = |table: &Table| comparable_rows(join, table);
+    let mut valid: Vec<Vec<String>> = Vec::new();
     {
         let mut cat = base_catalog();
-        let oracle = |cat: &Catalog| {
-            let o = TcuDb::new(EngineConfig::default().with_encoded_path(false));
-            o.set_catalog(cat.clone());
-            o.execute(join).expect("oracle executes").table
-        };
+        let oracle =
+            |cat: &Catalog| rows(&tcudb_reference::execute(cat, join).expect("oracle executes"));
         valid.push(oracle(&cat));
         let mut b = (*cat.table("B").unwrap()).clone();
         for i in 0..APPENDS {
@@ -271,7 +270,7 @@ fn chaos_readers_cancellation_and_transient_faults_compose() {
                         Ok(out) => {
                             completed_seen.fetch_add(1, Ordering::Relaxed);
                             assert!(
-                                valid.contains(&out.table),
+                                valid.contains(&comparable_rows(join, &out.table)),
                                 "reader saw a state no published snapshot had"
                             );
                         }
@@ -325,10 +324,13 @@ fn chaos_readers_cancellation_and_transient_faults_compose() {
         "no reader ever ran to completion"
     );
     // Quiesced: the live engine sits at the fully-ingested oracle state.
-    assert_eq!(&db.execute(join).unwrap().table, valid.last().unwrap());
+    assert_eq!(
+        &rows(&db.execute(join).unwrap().table),
+        valid.last().unwrap()
+    );
 
     // Reboot and recover: every acknowledged write is present, and the
-    // recovered engine answers like the serial interpreter.
+    // recovered engine answers like the reference.
     let last_epoch = acked.last().unwrap().1;
     drop(db);
     be.reboot();
@@ -359,11 +361,17 @@ fn chaos_readers_cancellation_and_transient_faults_compose() {
             "acked row val={val} (epoch {epoch}) missing after recovery"
         );
     }
-    assert_eq!(&db.execute(join).unwrap().table, valid.last().unwrap());
+    assert_eq!(
+        &rows(&db.execute(join).unwrap().table),
+        valid.last().unwrap()
+    );
 
     // The recovered engine still honours cancellation.
     let (_, probes) = run_counted(&db, join);
     assert!(probes > 0);
     run_cancelled_at(&db, join, probes / 2);
-    assert_eq!(&db.execute(join).unwrap().table, valid.last().unwrap());
+    assert_eq!(
+        &rows(&db.execute(join).unwrap().table),
+        valid.last().unwrap()
+    );
 }

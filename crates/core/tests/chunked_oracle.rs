@@ -1,14 +1,15 @@
 //! Oracle suite for partitioned storage + morsel-driven execution: a
 //! chunked, zone-map-pruned, morsel-parallel engine must produce results
-//! **byte-identical** to the single-chunk single-thread engine across
-//! random schemas, chunk sizes (including 1-row chunks and chunks far
-//! larger than the table) and thread counts — and the encoded and
-//! interpreter paths must keep emitting identical plans (including the
-//! zone-prune steps) while chunked.
+//! **byte-identical** to the single-chunk single-thread engine — and equal
+//! to the row-at-a-time reference, which never prunes — across random
+//! schemas, chunk sizes (including 1-row chunks and chunks far larger than
+//! the table) and thread counts.
 
 use proptest::prelude::*;
 use tcudb_core::{EngineConfig, TcuDb};
-use tcudb_storage::{Column, ColumnDef, Schema, Table};
+use tcudb_datagen::ssb;
+use tcudb_reference::comparable_rows;
+use tcudb_storage::{Catalog, Column, ColumnDef, Schema, Table};
 use tcudb_types::DataType;
 
 /// Chunk sizes under test: degenerate 1-row chunks (every row is its own
@@ -63,13 +64,8 @@ fn build_tables(
     (a, b)
 }
 
-fn engine(encoded: bool, prune: bool, threads: usize, a: &Table, b: &Table) -> TcuDb {
-    let db = TcuDb::new(
-        EngineConfig::default()
-            .with_encoded_path(encoded)
-            .with_zone_prune(prune)
-            .with_morsel_threads(Some(threads)),
-    );
+fn engine(threads: usize, a: &Table, b: &Table) -> TcuDb {
+    let db = TcuDb::new(EngineConfig::default().with_morsel_threads(Some(threads)));
     db.register_table(a.clone());
     db.register_table(b.clone());
     db
@@ -78,11 +74,11 @@ fn engine(encoded: bool, prune: bool, threads: usize, a: &Table, b: &Table) -> T
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The full grid: every query must return the same table from
-    /// (a) the unchunked single-thread no-prune reference,
-    /// (b) the chunked pruned morsel-parallel encoded engine, and
-    /// (c) the chunked pruned interpreter engine — with (b) and (c)
-    /// agreeing on the plan text, zone-prune steps included.
+    /// The full grid: every query must return the same table from the
+    /// unchunked single-thread engine and the chunked, pruned,
+    /// morsel-parallel one, and both must equal the reference — zone maps
+    /// and semi-join pushdown only ever skip chunks that could not have
+    /// contributed a row.
     #[test]
     fn chunked_morsel_execution_matches_serial_unchunked(
         a_rows in prop::collection::vec((0i64..12, -20i64..40), 0..70),
@@ -94,51 +90,38 @@ proptest! {
         let sql = QUERIES[query_idx];
         let chunk_rows = CHUNK_SIZES[chunk_sel];
 
-        // Reference: default (unpartitioned-size) chunks, pruning off,
-        // one morsel thread — the pre-partitioning engine.
+        // Default (unpartitioned-size) chunks, one morsel thread — the
+        // pre-partitioning engine — and the oracle over the same tables.
         let (ra, rb) = build_tables(&a_rows, &b_rows, 1 << 20);
-        let reference = engine(true, false, 1, &ra, &rb).execute(sql).unwrap();
+        let unchunked = engine(1, &ra, &rb).execute(sql).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.register(ra);
+        catalog.register(rb);
+        let want = tcudb_reference::execute(&catalog, sql).unwrap();
+        prop_assert_eq!(
+            comparable_rows(sql, &unchunked.table),
+            comparable_rows(sql, &want),
+            "{} vs reference",
+            sql
+        );
 
         let (a, b) = build_tables(&a_rows, &b_rows, chunk_rows);
         // Chunks of every table the query actually scans (query 0 is the
         // single-table case).
         let total_chunks = (a.chunk_count()
             + if sql.contains("B.") { b.chunk_count() } else { 0 }) as u64;
-        let enc = engine(true, true, threads, &a, &b).execute(sql).unwrap();
-        let interp = engine(false, true, threads, &a, &b).execute(sql).unwrap();
-
-        prop_assert_eq!(&enc.table, &reference.table, "encoded {} chunk={}", sql, chunk_rows);
-        prop_assert_eq!(&interp.table, &reference.table, "interp {} chunk={}", sql, chunk_rows);
-        // Pruning decisions are path-independent, so the plans still match.
-        prop_assert_eq!(&enc.plan.steps, &interp.plan.steps, "{} chunk={}", sql, chunk_rows);
+        let chunked = engine(threads, &a, &b).execute(sql).unwrap();
+        prop_assert_eq!(&chunked.table, &unchunked.table, "{} chunk={}", sql, chunk_rows);
 
         // Chunk accounting: every chunk of every scanned table is either
         // scanned or pruned, never dropped on the floor.
         prop_assert_eq!(
-            enc.host.chunks_scanned + enc.host.chunks_pruned,
+            chunked.host.chunks_scanned + chunked.host.chunks_pruned,
             total_chunks,
             "{} chunk={}",
             sql,
             chunk_rows
         );
-    }
-
-    /// Zone-map pruning itself is invisible: the same chunked engine with
-    /// pruning toggled must agree byte-for-byte (the pruned chunks could
-    /// never have contributed rows).
-    #[test]
-    fn zone_pruning_never_changes_results(
-        a_rows in prop::collection::vec((0i64..12, -20i64..40), 0..70),
-        b_rows in prop::collection::vec((0i64..12, 0i64..30, 0i64..4), 0..50),
-        chunk_sel in 0usize..4,
-        query_idx in 0usize..8,
-    ) {
-        let sql = QUERIES[query_idx];
-        let (a, b) = build_tables(&a_rows, &b_rows, CHUNK_SIZES[chunk_sel]);
-        let pruned = engine(true, true, 1, &a, &b).execute(sql).unwrap();
-        let unpruned = engine(true, false, 1, &a, &b).execute(sql).unwrap();
-        prop_assert_eq!(&pruned.table, &unpruned.table, "{}", sql);
-        prop_assert_eq!(unpruned.host.chunks_pruned, 0);
     }
 }
 
@@ -150,7 +133,7 @@ fn pruning_stats_reflect_zone_maps() {
     let rows: Vec<(i64, i64)> = (0..30).map(|i| (i, i)).collect();
     let (a, b) = build_tables(&rows, &[], 10);
     // val >= 20 lives entirely in the last of A's three 10-row chunks.
-    let db = engine(true, true, 1, &a, &b);
+    let db = engine(1, &a, &b);
     let out = db.execute("SELECT A.val FROM A WHERE A.val >= 20").unwrap();
     assert_eq!(out.table.num_rows(), 10);
     assert_eq!(out.host.chunks_pruned, 2);
@@ -162,9 +145,49 @@ fn pruning_stats_reflect_zone_maps() {
         .any(|s| s.contains("zone-prune") && s.contains("2/3")));
 
     let (a1, b1) = build_tables(&rows, &[], 1);
-    let db1 = engine(true, true, 2, &a1, &b1);
+    let db1 = engine(2, &a1, &b1);
     let out1 = db1.execute("SELECT A.val FROM A WHERE A.val = 7").unwrap();
     assert_eq!(out1.table.num_rows(), 1);
     assert_eq!(out1.host.chunks_pruned, 29);
     assert_eq!(out1.host.chunks_scanned, 1);
+}
+
+/// The pruning gate: flight 1 of SSB-mini over a `lineorder` partitioned
+/// into 4Ki-row chunks must actually skip chunks (or zone maps have
+/// silently stopped working) — at least half of them on Q1.1 — without
+/// moving the answer.
+#[test]
+fn ssb_flight_one_prunes_chunked_lineorder() {
+    let unchunked = ssb::gen_catalog(1, 0x55B);
+    let mut catalog = unchunked.clone();
+    let mut lineorder = (*catalog.table("lineorder").unwrap()).clone();
+    lineorder.set_chunk_rows(4_096);
+    let chunks = lineorder.chunk_count() as u64;
+    catalog.register(lineorder);
+    let db = TcuDb::default();
+    db.set_catalog(catalog);
+    for (name, sql) in ssb::queries() {
+        if !name.starts_with("Q1.") {
+            continue;
+        }
+        let out = db.execute(&sql).unwrap();
+        // "zone-prune lineorder: skipped x/y chunks"
+        let step = out
+            .plan
+            .steps
+            .iter()
+            .find(|s| s.starts_with("zone-prune lineorder"));
+        let step = step.unwrap_or_else(|| panic!("{name} pruned no lineorder chunks"));
+        let counts = step.split(' ').nth(3).unwrap();
+        let (pruned, total) = counts.split_once('/').unwrap();
+        let (pruned, total): (u64, u64) = (pruned.parse().unwrap(), total.parse().unwrap());
+        assert!(pruned > 0 && total == chunks, "{name}: {step}");
+        assert!(name != "Q1.1" || 2 * pruned >= total, "{name}: {step}");
+        let want = tcudb_reference::execute(&unchunked, &sql).unwrap();
+        assert_eq!(
+            comparable_rows(&sql, &out.table),
+            comparable_rows(&sql, &want),
+            "{name}"
+        );
+    }
 }

@@ -1,22 +1,27 @@
-//! Oracle suite: the encoded columnar data path (dictionary codes, remap
-//! tables, typed filter kernels, code-bucket joins) must produce results
-//! **identical** to the `Value`-based reference path across random
-//! schemas, row subsets (with duplicates), NULLs and empty tables — from
-//! the individual building blocks all the way through `TcuDb::execute`.
+//! Oracle suite: production's encoded columnar data path (dictionary
+//! codes, remap tables, typed filter kernels, code-bucket joins) must
+//! produce results **identical** to the dev-only row-at-a-time reference
+//! (`tcudb-reference`) across random schemas, row subsets (with
+//! duplicates), NULLs and empty tables — from the individual building
+//! blocks all the way through `TcuDb::execute`, under every join plan.
 
 use proptest::prelude::*;
 use tcudb_core::analyzer::analyze;
 use tcudb_core::batch::TupleBatch;
-use tcudb_core::relops::{self, apply_filters_with, FinalizeOptions};
+use tcudb_core::relops::{self, FinalizeOptions, ScanOptions};
 use tcudb_core::translate::{
-    adjacency_matrix, adjacency_matrix_encoded, comparison_matrix, comparison_matrix_encoded,
-    one_hot_csr, one_hot_csr_encoded, one_hot_matrix, one_hot_matrix_encoded, valued_csr,
-    valued_csr_encoded, valued_matrix, valued_matrix_encoded, Domain, EncodedSource,
+    adjacency_matrix, adjacency_matrix_encoded, comparison_matrix_encoded, one_hot_csr_encoded,
+    one_hot_matrix_encoded, valued_csr_encoded, valued_matrix, valued_matrix_encoded, Domain,
+    EncodedSource,
 };
-use tcudb_core::{EngineConfig, TcuDb};
+use tcudb_core::{EngineConfig, PlanKind, TcuDb};
+use tcudb_reference::{
+    comparable_rows as rows, comparison_matrix, one_hot_csr, one_hot_matrix, valued_csr,
+};
 use tcudb_sql::AggFunc;
 use tcudb_sql::{parse, BinOp};
 use tcudb_storage::{Catalog, Column, ColumnDef, DictColumn, Schema, Table};
+use tcudb_types::sync::QueryContext;
 use tcudb_types::{DataType, Value};
 
 /// Build a column of one of the three storage types from raw draws, with
@@ -29,6 +34,11 @@ fn column_from(mode: i64, data: &[i64]) -> Column {
         1 => Column::Float64(data.iter().map(|&x| (x % 9) as f64 * 0.5).collect()),
         _ => Column::Text(data.iter().map(|&x| format!("k{}", x % 5)).collect()),
     }
+}
+
+/// The `Value`s of a column at the given rows (the reference's key form).
+fn values_at(col: &Column, rows: &[usize]) -> Vec<Value> {
+    rows.iter().map(|&r| col.value(r)).collect()
 }
 
 /// Map raw index draws into a valid (possibly duplicated) row subset.
@@ -194,14 +204,20 @@ proptest! {
             let lsrc = EncodedSource::subset(&ld, &lsub);
             let rsrc = EncodedSource::subset(&rd, &rsub);
             let (dom, maps) = Domain::build_encoded(&[lsrc, rsrc]);
-            let got = relops::join_pairs_by_code(&lsrc, &maps[0], &rsrc, &maps[1], dom.len());
+            let (got, _) = relops::join_pairs_by_code(
+                &lsrc, &maps[0], &rsrc, &maps[1], dom.len(), 1, usize::MAX,
+            );
+            // Morsel size and thread count never change the pair sequence.
+            let (split, _) = relops::join_pairs_by_code(
+                &lsrc, &maps[0], &rsrc, &maps[1], dom.len(), 2, 3,
+            );
+            prop_assert_eq!(&got, &split);
 
-            // Reference: positional hash join over the gathered columns.
-            let lcol = left.gather(&lsub);
-            let rcol = right.gather(&rsub);
-            let lpos: Vec<usize> = (0..lsub.len()).collect();
-            let rpos: Vec<usize> = (0..rsub.len()).collect();
-            let want = relops::hash_join_pairs(&lcol, &lpos, &rcol, &rpos);
+            // Reference: positional `ValueKey` hash join over the keys.
+            let want = tcudb_reference::hash_join_pairs(
+                &values_at(&left, &lsub),
+                &values_at(&right, &rsub),
+            );
             prop_assert_eq!(got, want);
         }
     }
@@ -211,36 +227,32 @@ proptest! {
         lmode in 0i64..3,
         ldata in prop::collection::vec(0i64..60, 0..20),
         rdata in prop::collection::vec(0i64..60, 0..20),
+        lsub_raw in prop::collection::vec(0usize..64, 0..20),
+        rsub_raw in prop::collection::vec(0usize..64, 0..20),
         op_idx in 0usize..6,
     ) {
-        let left = column_from(lmode, &ldata);
-        let right = column_from(lmode, &rdata);
-        let lrows: Vec<usize> = (0..left.len()).collect();
-        let rrows: Vec<usize> = (0..right.len()).collect();
-        let op = OPS[op_idx];
-        let got = relops::nonequi_join_pairs(&left, &lrows, &right, &rrows, op).unwrap();
-        // Reference: the original nested loop over materialised Values.
-        let mut want = Vec::new();
-        for &l in &lrows {
-            let lv = left.value(l);
-            for &r in &rrows {
-                let rv = right.value(r);
-                let ord = lv.sql_cmp(&rv);
-                let hit = match op {
-                    BinOp::Eq => lv.sql_eq(&rv),
-                    BinOp::NotEq => !lv.sql_eq(&rv),
-                    BinOp::Lt => ord == std::cmp::Ordering::Less,
-                    BinOp::LtEq => ord != std::cmp::Ordering::Greater,
-                    BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                    BinOp::GtEq => ord != std::cmp::Ordering::Less,
-                    _ => unreachable!(),
-                };
-                if hit {
-                    want.push((l, r));
-                }
+        // Same type on both sides plus the Int/Float mixed case; row
+        // selections repeat rows, as a tuple batch's key column does.
+        for rmode in [lmode, (lmode + 1).min(1)] {
+            if lmode.rem_euclid(3).min(1) != rmode.rem_euclid(3).min(1) {
+                continue;
             }
+            let left = column_from(lmode, &ldata);
+            let right = column_from(rmode, &rdata);
+            let lsub = subset(&lsub_raw, left.len());
+            let rsub = subset(&rsub_raw, right.len());
+            let lrows: Vec<u32> = lsub.iter().map(|&r| r as u32).collect();
+            let op = OPS[op_idx];
+            let got = relops::nonequi_join_pairs(&left, &lrows, &right, &rsub, op).unwrap();
+            // Reference: the nested loop over materialised Values.
+            let want = tcudb_reference::nested_loop_pairs(
+                &values_at(&left, &lsub),
+                &values_at(&right, &rsub),
+                op,
+            )
+            .unwrap();
+            prop_assert_eq!(got, want);
         }
-        prop_assert_eq!(got, want);
     }
 }
 
@@ -305,8 +317,9 @@ proptest! {
         let preds: Vec<String> = conjs.iter().map(|&(k, l)| conjunct(k, l)).collect();
         let sql = format!("SELECT T.i FROM T WHERE {}", preds.join(" AND "));
         let q = analyze(&parse(&sql).unwrap(), &cat).unwrap();
-        let fast = apply_filters_with(&q, true);
-        let slow = apply_filters_with(&q, false);
+        let fast = relops::apply_filters_scan(&q, &QueryContext::unbounded(), &ScanOptions::serial())
+            .map(|(surviving, ..)| surviving);
+        let slow = tcudb_reference::apply_filters(&q);
         match (fast, slow) {
             (Ok(f), Ok(s)) => prop_assert_eq!(f, s, "{}", sql),
             (f, s) => prop_assert_eq!(f.is_err(), s.is_err(), "{}", sql),
@@ -314,18 +327,23 @@ proptest! {
     }
 
     #[test]
-    fn execute_encoded_matches_interpreter(
+    fn execute_matches_reference_under_every_plan(
         a_rows in prop::collection::vec((0i64..12, 0i64..30), 0..40),
         b_rows in prop::collection::vec((0i64..12, 0i64..30, 0i64..4), 0..30),
         c_rows in prop::collection::vec((0i64..12, 0i64..30), 0..20),
-        query_idx in 0usize..8,
+        query_idx in 0usize..17,
     ) {
         let a = Table::from_columns(
             "A",
-            Schema::from_pairs(&[("id", DataType::Int64), ("val", DataType::Int64)]),
+            Schema::new(vec![
+                ColumnDef::new("id", DataType::Int64),
+                ColumnDef::new("val", DataType::Int64),
+                ColumnDef::new("tag", DataType::Text),
+            ]),
             vec![
                 Column::Int64(a_rows.iter().map(|&(i, _)| i).collect()),
                 Column::Int64(a_rows.iter().map(|&(_, v)| v).collect()),
+                Column::Text(a_rows.iter().map(|&(i, v)| format!("s{}", (i + v) % 5)).collect()),
             ],
         ).unwrap();
         let b = Table::from_columns(
@@ -348,6 +366,14 @@ proptest! {
                 ("w", c_rows.iter().map(|&(_, w)| w).collect()),
             ],
         ).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.register(a);
+        catalog.register(b);
+        catalog.register(c);
+        // NULLs reach storage as NaN (`table_from_rows` coerces them so):
+        // two tables whose float key is NULL on every fifth value.
+        catalog.register(nullable_table("N", a_rows.iter().map(|&(i, v)| (i, v))));
+        catalog.register(nullable_table("M", c_rows.iter().map(|&(i, w)| (i, w + 1))));
 
         let queries = [
             "SELECT A.val, B.val FROM A, B WHERE A.id = B.id",
@@ -358,25 +384,117 @@ proptest! {
             "SELECT A.val, C.w FROM A, B, C WHERE A.id = B.id AND B.id = C.id",
             "SELECT COUNT(A.val), B.tag FROM A, B WHERE A.id = B.id AND B.val > 2 GROUP BY B.tag",
             "SELECT A.id, B.id, SUM(A.val * B.val) AS res FROM A, B WHERE A.id = B.id GROUP BY A.id, B.id",
+            // Non-equi joins on text keys and on mixed Int64/Float64 keys.
+            "SELECT A.val, B.val FROM A, B WHERE A.tag < B.tag",
+            "SELECT A.id, B.id FROM A, B WHERE A.tag >= B.tag LIMIT 11",
+            "SELECT A.val, B.val FROM A, B WHERE A.id < B.val",
+            "SELECT A.id, B.id FROM A, B WHERE A.val = B.val",
+            // `<>` and an ordering comparison over NULL keys.
+            "SELECT N.id, M.id FROM N, M WHERE N.f <> M.f",
+            "SELECT A.id, N.id FROM A, N WHERE A.val <= N.f",
+            // Composite keys: a third table closing a cycle, and two
+            // predicates between one pair of tables.
+            "SELECT A.val, B.val, C.w FROM A, B, C WHERE A.id = B.id AND B.id = C.id AND A.val = C.w",
+            "SELECT A.val, B.val FROM A, B WHERE A.id = B.id AND A.tag <> B.tag",
+            // GROUP BY over a complex expression: the value-fallback route.
+            "SELECT A.id + B.id, SUM(A.val) FROM A, B WHERE A.id = B.id GROUP BY A.id + B.id",
         ];
         let sql = queries[query_idx];
-
-        let mut encoded = TcuDb::new(EngineConfig::default().with_encoded_path(true));
-        let mut interp = TcuDb::new(EngineConfig::default().with_encoded_path(false));
-        for db in [&mut encoded, &mut interp] {
-            db.register_table(a.clone());
-            db.register_table(b.clone());
-            db.register_table(c.clone());
+        let want = tcudb_reference::execute(&catalog, sql).unwrap();
+        for (plan, db) in production_engines(&catalog) {
+            let got = db.execute(sql).unwrap().table;
+            prop_assert_eq!(rows(sql, &got), rows(sql, &want), "{} under {}", sql, plan);
+            // A second run hits the warm dictionary and plan caches and
+            // must be byte-identical to the first.
+            prop_assert_eq!(&db.execute(sql).unwrap().table, &got, "warm {} under {}", sql, plan);
         }
-        let e = encoded.execute(sql).unwrap();
-        let i = interp.execute(sql).unwrap();
-        prop_assert_eq!(&e.table, &i.table, "{}", sql);
-        prop_assert_eq!(&e.plan.steps, &i.plan.steps, "{}", sql);
-        // A second encoded run hits the warm dictionary cache and must be
-        // byte-identical too.
-        let e2 = encoded.execute(sql).unwrap();
-        prop_assert_eq!(&e2.table, &i.table, "warm {}", sql);
     }
+}
+
+/// Fixed filter shapes — every atom kind, literal-first comparisons, OR
+/// and arithmetic falling back to the interpreter — plus the one
+/// documented divergence from the reference: error ordering.
+#[test]
+fn filter_fixtures_match_reference_and_pin_error_ordering() {
+    let scan = |cat: &Catalog, sql: &str| {
+        let q = analyze(&parse(sql).unwrap(), cat).unwrap();
+        let fast =
+            relops::apply_filters_scan(&q, &QueryContext::unbounded(), &ScanOptions::serial())
+                .map(|(surviving, ..)| surviving);
+        (fast, tcudb_reference::apply_filters(&q))
+    };
+    let mut cat = Catalog::new();
+    cat.register(filter_table(&[
+        (1, 3, 0),
+        (2, 4, 1),
+        (3, -2, 0),
+        (4, 8, 2),
+        (5, 11, 1),
+    ]));
+    for sql in [
+        "SELECT T.i FROM T WHERE T.i >= 2 AND T.i < 5",
+        "SELECT T.i FROM T WHERE T.f > 1.5 AND T.s <> 's1'",
+        "SELECT T.i FROM T WHERE T.s = 's0' OR T.s = 's2'",
+        "SELECT T.i FROM T WHERE T.i BETWEEN 2 AND 4 AND T.f = 2",
+        "SELECT T.i FROM T WHERE 3 < T.i",
+        "SELECT T.i FROM T WHERE T.s >= 's1'",
+        "SELECT T.i FROM T WHERE T.i + 1 > 3 AND T.i <= 4",
+        "SELECT T.i FROM T WHERE T.f = 2.5",
+    ] {
+        let (fast, slow) = scan(&cat, sql);
+        assert_eq!(fast.unwrap(), slow.unwrap(), "{sql}");
+    }
+    // The atom `T.i = 5` masks out the i=0 row before the division
+    // predicate runs, so production succeeds where the reference (textual
+    // predicate order on every row) raises division by zero.
+    let mut cat = Catalog::new();
+    cat.register(Table::from_int_columns("T", &[("i", vec![0, 5]), ("v", vec![1, 2])]).unwrap());
+    let (fast, slow) = scan(&cat, "SELECT T.v FROM T WHERE T.v / T.i > 0 AND T.i = 5");
+    assert_eq!(fast.unwrap(), vec![vec![1]]);
+    assert!(slow.is_err());
+}
+
+/// `(id, f)` with `f = x / 2`, NULL (stored as NaN) when `x % 5 == 0`.
+fn nullable_table(name: &str, rows: impl Iterator<Item = (i64, i64)> + Clone) -> Table {
+    let f = |x: i64| if x % 5 == 0 { f64::NAN } else { x as f64 * 0.5 };
+    Table::from_columns(
+        name,
+        Schema::from_pairs(&[("id", DataType::Int64), ("f", DataType::Float64)]),
+        vec![
+            Column::Int64(rows.clone().map(|(i, _)| i).collect()),
+            Column::Float64(rows.map(|(_, x)| f(x)).collect()),
+        ],
+    )
+    .unwrap()
+}
+
+/// Production under the cost-based optimizer and under every forced join
+/// plan, plus a dense plan too large to materialise (the host operators
+/// compute the pairs, the timeline is charged the kernel).
+fn production_engines(catalog: &Catalog) -> Vec<(String, TcuDb)> {
+    let mut configs = vec![("optimizer".to_string(), EngineConfig::default())];
+    for kind in [
+        PlanKind::GpuFallback,
+        PlanKind::TcuDense,
+        PlanKind::TcuSparse,
+        PlanKind::TcuBlocked,
+    ] {
+        configs.push((
+            kind.to_string(),
+            EngineConfig::default().with_forced_plan(kind),
+        ));
+    }
+    let mut at_scale = EngineConfig::default().with_forced_plan(PlanKind::TcuDense);
+    at_scale.kernel_mac_limit = 0;
+    configs.push(("TCU dense at scale".to_string(), at_scale));
+    configs
+        .into_iter()
+        .map(|(label, config)| {
+            let db = TcuDb::new(config);
+            db.set_catalog(catalog.clone());
+            (label, db)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -424,11 +542,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// All five aggregate functions × single/multi group keys × ORDER BY
-    /// direction × LIMIT × empty inputs: the encoded pipeline (segmented
-    /// or GEMM) must match the `Value` interpreter end to end, twice
+    /// direction × LIMIT × empty inputs: the columnar pipeline (segmented
+    /// or GEMM) must match the row-at-a-time reference end to end, twice
     /// (cold and warm dictionary caches).
     #[test]
-    fn grouped_aggregation_matches_value_oracle(
+    fn grouped_aggregation_matches_reference(
         g_rows in prop::collection::vec((0i64..8, 0i64..8, 0i64..80), 0..48),
         j_rows in prop::collection::vec(0i64..8, 0..12),
         vmode in 0i64..2,
@@ -454,18 +572,16 @@ proptest! {
         ];
         let sql = queries[query_idx];
 
-        let mut encoded = TcuDb::new(EngineConfig::default().with_encoded_path(true));
-        let mut interp = TcuDb::new(EngineConfig::default().with_encoded_path(false));
-        for db in [&mut encoded, &mut interp] {
-            db.register_table(g.clone());
-            db.register_table(j.clone());
+        let mut catalog = Catalog::new();
+        catalog.register(g);
+        catalog.register(j);
+        let want = tcudb_reference::execute(&catalog, sql).unwrap();
+        for (plan, db) in production_engines(&catalog) {
+            let got = db.execute(sql).unwrap().table;
+            prop_assert_eq!(rows(sql, &got), rows(sql, &want), "{} under {}", sql, plan);
+            let warm = db.execute(sql).unwrap().table;
+            prop_assert_eq!(&warm, &got, "warm {} under {}", sql, plan);
         }
-        let e = encoded.execute(sql).unwrap();
-        let i = interp.execute(sql).unwrap();
-        prop_assert_eq!(&e.table, &i.table, "{}", sql);
-        prop_assert_eq!(&e.plan.steps, &i.plan.steps, "{}", sql);
-        let warm = encoded.execute(sql).unwrap();
-        prop_assert_eq!(&warm.table, &i.table, "warm {}", sql);
     }
 
     /// The segmented and the §3.3 fused one-hot-GEMM reductions must
@@ -576,7 +692,7 @@ proptest! {
 }
 
 /// NULL keys (only producible through intermediate value vectors, never
-/// base columns) follow the same group_key semantics on both paths.
+/// base columns) encode under the same group_key semantics as `Value`s.
 #[test]
 fn null_keys_encode_like_domain_inserts() {
     let vals = [

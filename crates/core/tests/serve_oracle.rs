@@ -1,17 +1,18 @@
 //! Concurrency oracle: N threads hammering one shared `TcuDb` — with
 //! overlapping identical and distinct statements, plan-cache hits, and
 //! interleaved ingest publishing new snapshots — must produce results
-//! **byte-identical** to what a serial run of the row-at-a-time `Value`
-//! interpreter produces for the corresponding catalog state.
+//! **identical** to what the serial, row-at-a-time reference interpreter
+//! (`tcudb-reference`) produces for the corresponding catalog state.
 //!
-//! The serial interpreter engine (`encoded_path = false`, cold engine per
-//! check, no plan cache reuse across epochs) is the oracle; the shared
-//! engine under test runs the full serving configuration: encoded data
-//! path, shared dictionary caches, snapshot pinning and the plan cache.
+//! The reference is the oracle (no caches, no shared state, one `Value`
+//! at a time); the shared engine under test runs the full serving
+//! configuration: shared dictionary caches, snapshot pinning and the plan
+//! cache.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tcudb_core::{EngineConfig, TcuDb};
+use tcudb_reference::comparable_rows;
 use tcudb_storage::{Catalog, Table};
 use tcudb_types::Value;
 
@@ -40,13 +41,14 @@ fn base_catalog(a_ids: &[i64], b_ids: &[i64]) -> Catalog {
     cat
 }
 
-/// Serial interpreter oracle: a fresh engine on the `Value` path.
-fn oracle_results(catalog: &Catalog, queries: &[&str]) -> Vec<Table> {
-    let oracle = TcuDb::new(EngineConfig::default().with_encoded_path(false));
-    oracle.set_catalog(catalog.clone());
+/// Serial oracle: the reference's answer per query, in comparable form.
+fn oracle_results(catalog: &Catalog, queries: &[&str]) -> Vec<Vec<String>> {
     queries
         .iter()
-        .map(|sql| oracle.execute(sql).expect("oracle executes").table)
+        .map(|sql| {
+            let table = tcudb_reference::execute(catalog, sql).expect("oracle executes");
+            comparable_rows(sql, &table)
+        })
         .collect()
 }
 
@@ -56,7 +58,7 @@ proptest! {
     /// Read-only phase: every thread sees exactly the serial answers, and
     /// repeat statements are served from the plan cache.
     #[test]
-    fn concurrent_reads_match_serial_interpreter(
+    fn concurrent_reads_match_serial_reference(
         a_ids in prop::collection::vec(0i64..6, 1..24),
         b_ids in prop::collection::vec(0i64..6, 1..16),
         threads in 2usize..6,
@@ -80,7 +82,8 @@ proptest! {
                             let i = (q + t + r) % QUERIES.len();
                             let out = db.execute(QUERIES[i]).expect("query executes");
                             assert_eq!(
-                                out.table, expected[i],
+                                comparable_rows(QUERIES[i], &out.table),
+                                expected[i],
                                 "thread {t} rep {r} diverged on {}",
                                 QUERIES[i]
                             );
@@ -103,7 +106,7 @@ proptest! {
 
     /// Ingest phase: reader threads race a writer that appends rows and
     /// registers tables (publishing new snapshots).  Every observed result
-    /// must equal the serial interpreter's answer for *some* published
+    /// must equal the serial reference's answer for *some* published
     /// catalog state, and the post-ingest state must equal the oracle's.
     #[test]
     fn concurrent_reads_with_interleaved_ingest_match_some_snapshot(
@@ -117,7 +120,7 @@ proptest! {
         // oracle answer for every intermediate catalog state (0..=k rows
         // appended): any in-flight reader pinned one of these snapshots.
         let join = "SELECT SUM(A.val), B.val FROM A, B WHERE A.id = B.id GROUP BY B.val";
-        let mut valid: Vec<Table> = Vec::new();
+        let mut valid: Vec<Vec<String>> = Vec::new();
         {
             let mut cat = catalog.clone();
             valid.push(oracle_results(&cat, &[join]).remove(0));
@@ -139,7 +142,7 @@ proptest! {
                     for _ in 0..2 * valid.len() {
                         let out = db.execute(join).expect("query executes");
                         assert!(
-                            valid.contains(&out.table),
+                            valid.contains(&comparable_rows(join, &out.table)),
                             "result does not match any published snapshot state"
                         );
                     }
@@ -158,15 +161,15 @@ proptest! {
 
         // Quiesced: the final snapshot equals the fully ingested oracle.
         let final_out = db.execute(join).expect("query executes");
-        prop_assert_eq!(&final_out.table, valid.last().unwrap());
+        prop_assert_eq!(&comparable_rows(join, &final_out.table), valid.last().unwrap());
     }
 
     /// Kill-and-recover under concurrent load: readers hammer a durable
     /// engine while a writer ingests one commit at a time until an
     /// injected crash kills the backend mid-stream.  After reboot and
     /// recovery, every acknowledged write must be present at (or before)
-    /// its acknowledged epoch, and queries must match the serial
-    /// interpreter for the recovered catalog.
+    /// its acknowledged epoch, and queries must match the reference for
+    /// the recovered catalog.
     #[test]
     fn kill_and_recover_keeps_every_acked_write_visible(
         a_ids in prop::collection::vec(0i64..6, 1..12),
@@ -241,9 +244,10 @@ proptest! {
                 );
             }
             // The recovered catalog answers queries exactly like the
-            // serial interpreter run on the recovered state.
+            // reference run on the recovered state.
             let expected = oracle_results(snap.catalog(), &[join]).remove(0);
-            prop_assert_eq!(db.execute(join).expect("query executes").table, expected);
+            let got = db.execute(join).expect("query executes").table;
+            prop_assert_eq!(comparable_rows(join, &got), expected);
         }
     }
 }
@@ -258,15 +262,18 @@ fn eight_threads_agree_with_one_thread_bitwise() {
 
     let db = Arc::new(TcuDb::default());
     db.set_catalog(catalog);
-    // Warm pass, single thread.
+    // Warm pass, single thread: correct against the reference.
+    let mut warm = Vec::new();
     for (i, sql) in QUERIES.iter().enumerate() {
-        assert_eq!(db.execute(sql).unwrap().table, expected[i]);
+        let table = db.execute(sql).unwrap().table;
+        assert_eq!(comparable_rows(sql, &table), expected[i]);
+        warm.push(table);
     }
-    // Hammer pass, 8 threads.
+    // Hammer pass, 8 threads: bitwise equal to the single-thread pass.
     std::thread::scope(|s| {
         for t in 0..8 {
             let db = Arc::clone(&db);
-            let expected = &expected;
+            let expected = &warm;
             s.spawn(move || {
                 for r in 0..4 {
                     for q in 0..QUERIES.len() {

@@ -6,19 +6,21 @@
 //! the same SQL dialect through hash joins and hash aggregation, with no
 //! GPU involved.
 //!
-//! As with the other engines, answers are computed by the shared reference
-//! operators of `tcudb-core`; the reported timings are produced by a CPU
+//! As with the other engines, answers are computed by the one join
+//! pipeline of `tcudb_core::pipeline` (this engine supplies only its
+//! per-step policy); the reported timings are produced by a CPU
 //! cost model whose per-row constants are calibrated so that the
 //! CPU : GPU-hash-join ratio lands in the range the paper reports for
 //! MonetDB vs. YDB (roughly 2–6× slower depending on the query).
 
 use tcudb_core::analyzer::{self, AnalyzedQuery};
-use tcudb_core::batch::TupleBatch;
-use tcudb_core::relops::{self, FinalizeOptions};
+use tcudb_core::pipeline;
+use tcudb_core::relops::{self, FinalizeOptions, ScanOptions};
 use tcudb_device::{ExecutionTimeline, Phase};
-use tcudb_sql::{parse, BinOp};
+use tcudb_sql::parse;
 use tcudb_storage::{Catalog, CatalogSnapshot, SharedCatalog, Table};
-use tcudb_types::{DataType, TcuError, TcuResult, Value};
+use tcudb_types::sync::QueryContext;
+use tcudb_types::TcuResult;
 
 /// CPU execution cost constants (single node, main-memory column store).
 #[derive(Debug, Clone)]
@@ -130,7 +132,10 @@ impl MonetEngine {
     pub fn execute_analyzed(&self, analyzed: &AnalyzedQuery) -> TcuResult<MonetOutput> {
         let mut timeline = ExecutionTimeline::new();
 
-        let surviving = relops::apply_filters(analyzed)?;
+        // Semi-join pushdown stays off: it shrinks the surviving sets the
+        // hash-join cost formula reads.
+        let ctx = QueryContext::unbounded();
+        let (surviving, ..) = relops::apply_filters_scan(analyzed, &ctx, &ScanOptions::serial())?;
         for (ti, bound) in analyzed.tables.iter().enumerate() {
             if !analyzed.filters_for_table(ti).is_empty() {
                 timeline.record_detail(
@@ -141,11 +146,18 @@ impl MonetEngine {
             }
         }
 
-        let (batch, joined) = if analyzed.tables.len() == 1 {
-            (TupleBatch::from_rows(&surviving[0])?, vec![0usize])
-        } else {
-            self.run_joins(analyzed, &surviving, &mut timeline)?
-        };
+        // Joins through the shared driver; the CPU policy is a hash join on
+        // every step.
+        let batch = pipeline::join(analyzed, &surviving, &ctx, |step| {
+            let (pairs, _) = step.host_pairs(1)?;
+            timeline.record_detail(
+                Phase::CpuCompute,
+                format!("CPU hash join {} ⋈ {}", step.bindings.0, step.bindings.1),
+                self.cost
+                    .hash_join_seconds(step.left.len(), step.right.len(), pairs.len()),
+            );
+            Ok(pairs)
+        })?;
 
         if analyzed.stmt.has_aggregates() || !analyzed.stmt.group_by.is_empty() {
             timeline.record_detail(
@@ -155,113 +167,17 @@ impl MonetEngine {
             );
         }
 
-        let batch = batch.remap_slots(&joined, analyzed.tables.len());
-        let table = if self.count_only {
-            relops::table_from_rows(
-                "result_count",
-                &["matched_tuples".to_string()],
-                vec![vec![Value::Int(batch.len() as i64)]],
-            )?
-        } else {
-            // CPU pipeline: the vectorized output path, no tensor kernels.
-            relops::finalize_output_columnar(analyzed, &batch, &FinalizeOptions::baseline())?.0
-        };
+        // CPU pipeline: the vectorized output path, no tensor kernels.
+        let opts = FinalizeOptions::baseline();
+        let (table, _) = pipeline::finish(analyzed, &batch, self.count_only, &opts)?;
         Ok(MonetOutput { table, timeline })
-    }
-
-    fn run_joins(
-        &self,
-        analyzed: &AnalyzedQuery,
-        surviving: &[Vec<usize>],
-        timeline: &mut ExecutionTimeline,
-    ) -> TcuResult<(TupleBatch, Vec<usize>)> {
-        let n = analyzed.tables.len();
-        let degree = |i: usize| analyzed.joins_for_table(i).len();
-        let start = (0..n).max_by_key(|&i| degree(i)).unwrap_or(0);
-        let mut joined = vec![start];
-        let mut batch = TupleBatch::from_rows(&surviving[start])?;
-
-        while joined.len() < n {
-            let (next, pred, joined_is_left) = (0..n)
-                .filter(|i| !joined.contains(i))
-                .find_map(|i| {
-                    analyzed.joins.iter().find_map(|j| {
-                        if j.left.0 == i && joined.contains(&j.right.0) {
-                            Some((i, j, false))
-                        } else if j.right.0 == i && joined.contains(&j.left.0) {
-                            Some((i, j, true))
-                        } else {
-                            None
-                        }
-                    })
-                })
-                .ok_or_else(|| TcuError::Plan("disconnected join graph".into()))?;
-
-            let (jt, jcol, ncol) = if joined_is_left {
-                (pred.left.0, pred.left.1.clone(), pred.right.1.clone())
-            } else {
-                (pred.right.0, pred.right.1.clone(), pred.left.1.clone())
-            };
-            let op = if joined_is_left {
-                pred.op
-            } else {
-                pred.op.flip()
-            };
-
-            let jpos = joined.iter().position(|&t| t == jt).unwrap();
-            let jtable = &analyzed.tables[jt].table;
-            let jci = jtable.schema().require(&jcol)?;
-            let jcolumn = jtable.column(jci);
-            let left_keys: Vec<Value> = batch
-                .col(jpos)
-                .iter()
-                .map(|&r| jcolumn.value(r as usize))
-                .collect();
-            let ntable = &analyzed.tables[next].table;
-            let nci = ntable.schema().require(&ncol)?;
-            let right_rows = &surviving[next];
-            let right_keys: Vec<Value> = right_rows
-                .iter()
-                .map(|&r| ntable.column(nci).value(r))
-                .collect();
-
-            let dt = left_keys
-                .iter()
-                .find_map(|v| v.data_type())
-                .unwrap_or(DataType::Int64);
-            let left_col = tcudb_storage::Column::from_values(dt, &left_keys)?;
-            let dt_r = right_keys
-                .iter()
-                .find_map(|v| v.data_type())
-                .unwrap_or(DataType::Int64);
-            let right_col = tcudb_storage::Column::from_values(dt_r, &right_keys)?;
-            let all_left: Vec<usize> = (0..left_keys.len()).collect();
-            let all_right: Vec<usize> = (0..right_keys.len()).collect();
-            let pairs = if op == BinOp::Eq {
-                relops::hash_join_pairs(&left_col, &all_left, &right_col, &all_right)
-            } else {
-                relops::nonequi_join_pairs(&left_col, &all_left, &right_col, &all_right, op)?
-            };
-            timeline.record_detail(
-                Phase::CpuCompute,
-                format!(
-                    "CPU hash join {} ⋈ {}",
-                    analyzed.tables[jt].binding, analyzed.tables[next].binding
-                ),
-                self.cost
-                    .hash_join_seconds(left_keys.len(), right_keys.len(), pairs.len()),
-            );
-
-            joined.push(next);
-            batch = batch.extend_join(&pairs, right_rows)?;
-        }
-        Ok((batch, joined))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcudb_types::Value;
 
     fn engine() -> MonetEngine {
         let e = MonetEngine::new();

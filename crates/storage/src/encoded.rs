@@ -10,9 +10,9 @@
 //!
 //! Codes are assigned in **first-row-seen order**, and two values share a
 //! code exactly when their [`Value::group_key`]s are equal — the same
-//! normalisation the `Value`-based path uses — so the encoded path
-//! reproduces the `Value`-based domains (and therefore result ordering)
-//! bit for bit.
+//! normalisation `Value` equality, hashing and the row-at-a-time
+//! reference use — so domains built from codes reproduce `Value`-built
+//! ones (and therefore their result ordering) bit for bit.
 
 use crate::column::Column;
 use std::collections::HashMap;

@@ -12,16 +12,18 @@
 //! tensor cores, which is exactly the missed opportunity the paper
 //! describes in §2.3.
 //!
-//! Results are always identical to TCUDB's (the integration tests assert
-//! this); only the simulated timing differs.
+//! Results are always identical to TCUDB's — both engines drive the one
+//! join pipeline of `tcudb_core::pipeline` and differ only in the per-step
+//! policy they hand it — only the simulated timing differs.
 
 use tcudb_core::analyzer::{self, AnalyzedQuery};
-use tcudb_core::batch::TupleBatch;
-use tcudb_core::relops::{self, FinalizeOptions};
+use tcudb_core::pipeline;
+use tcudb_core::relops::{self, FinalizeOptions, ScanOptions};
 use tcudb_device::{CostModel, DeviceProfile, ExecutionTimeline, Phase};
-use tcudb_sql::{parse, BinOp};
+use tcudb_sql::parse;
 use tcudb_storage::{Catalog, CatalogSnapshot, SharedCatalog, Table};
-use tcudb_types::{TcuError, TcuResult, Value};
+use tcudb_types::sync::QueryContext;
+use tcudb_types::TcuResult;
 
 /// Result of one YDB query execution.
 #[derive(Debug, Clone)]
@@ -135,8 +137,10 @@ impl YdbEngine {
             cost.h2d_seconds(touched_bytes as f64),
         );
 
-        // Scan + filter.
-        let surviving = relops::apply_filters(analyzed)?;
+        // Scan + filter.  Semi-join pushdown stays off: it shrinks the
+        // surviving sets the hash-join cost formula reads.
+        let ctx = QueryContext::unbounded();
+        let (surviving, ..) = relops::apply_filters_scan(analyzed, &ctx, &ScanOptions::serial())?;
         for (ti, bound) in analyzed.tables.iter().enumerate() {
             if !analyzed.filters_for_table(ti).is_empty() {
                 timeline.record_detail(
@@ -147,96 +151,23 @@ impl YdbEngine {
             }
         }
 
-        // Joins in greedy connectivity order (same order TCUDB uses).
-        let mut batch: TupleBatch;
-        let mut joined: Vec<usize>;
-        if analyzed.tables.len() == 1 {
-            joined = vec![0];
-            batch = TupleBatch::from_rows(&surviving[0])?;
-        } else {
-            let order = join_order(analyzed)?;
-            joined = vec![order[0]];
-            batch = TupleBatch::from_rows(&surviving[order[0]])?;
-            for &next in order.iter().skip(1) {
-                let (pred, joined_is_left) = analyzed
-                    .joins
-                    .iter()
-                    .find_map(|j| {
-                        if j.left.0 == next && joined.contains(&j.right.0) {
-                            Some((j, false))
-                        } else if j.right.0 == next && joined.contains(&j.left.0) {
-                            Some((j, true))
-                        } else {
-                            None
-                        }
-                    })
-                    .ok_or_else(|| TcuError::Plan("disconnected join graph".into()))?;
-                let (jt, jcol, ncol) = if joined_is_left {
-                    (pred.left.0, pred.left.1.clone(), pred.right.1.clone())
-                } else {
-                    (pred.right.0, pred.right.1.clone(), pred.left.1.clone())
-                };
-                let op = if joined_is_left {
-                    pred.op
-                } else {
-                    pred.op.flip()
-                };
-
-                let jpos = joined.iter().position(|&t| t == jt).unwrap();
-                let jtable = &analyzed.tables[jt].table;
-                let jci = jtable.schema().require(&jcol)?;
-                let jcolumn = jtable.column(jci);
-                let left_keys: Vec<Value> = batch
-                    .col(jpos)
-                    .iter()
-                    .map(|&r| jcolumn.value(r as usize))
-                    .collect();
-                let ntable = &analyzed.tables[next].table;
-                let nci = ntable.schema().require(&ncol)?;
-                let right_rows = &surviving[next];
-                let right_keys: Vec<Value> = right_rows
-                    .iter()
-                    .map(|&r| ntable.column(nci).value(r))
-                    .collect();
-
-                let left_col = tcudb_storage::Column::from_values(
-                    left_keys
-                        .iter()
-                        .find_map(|v| v.data_type())
-                        .unwrap_or(tcudb_types::DataType::Int64),
-                    &left_keys,
-                )?;
-                let right_col = tcudb_storage::Column::from_values(
-                    right_keys
-                        .iter()
-                        .find_map(|v| v.data_type())
-                        .unwrap_or(tcudb_types::DataType::Int64),
-                    &right_keys,
-                )?;
-                let all_left: Vec<usize> = (0..left_keys.len()).collect();
-                let all_right: Vec<usize> = (0..right_keys.len()).collect();
-                let pairs = if op == BinOp::Eq {
-                    relops::hash_join_pairs(&left_col, &all_left, &right_col, &all_right)
-                } else {
-                    relops::nonequi_join_pairs(&left_col, &all_left, &right_col, &all_right, op)?
-                };
-                timeline.record_detail(
-                    Phase::HashJoin,
-                    format!(
-                        "hash join {} ⋈ {} ({} x {} → {})",
-                        analyzed.tables[jt].binding,
-                        analyzed.tables[next].binding,
-                        left_keys.len(),
-                        right_keys.len(),
-                        pairs.len()
-                    ),
-                    cost.gpu_hash_join_seconds(left_keys.len(), right_keys.len(), pairs.len()),
-                );
-
-                joined.push(next);
-                batch = batch.extend_join(&pairs, right_rows)?;
-            }
-        }
+        // Joins through the shared driver (same order, same answers as
+        // TCUDB); YDB's policy is a GPU hash join on every step.
+        let batch = pipeline::join(analyzed, &surviving, &ctx, |step| {
+            let (pairs, _) = step.host_pairs(1)?;
+            let (m, n) = (step.left.len(), step.right.len());
+            timeline.record_detail(
+                Phase::HashJoin,
+                format!(
+                    "hash join {} ⋈ {} ({m} x {n} → {})",
+                    step.bindings.0,
+                    step.bindings.1,
+                    pairs.len()
+                ),
+                cost.gpu_hash_join_seconds(m, n, pairs.len()),
+            );
+            Ok(pairs)
+        })?;
 
         // Separate group-by / aggregation kernels (the part TCUDB fuses).
         if analyzed.stmt.has_aggregates() || !analyzed.stmt.group_by.is_empty() {
@@ -256,49 +187,19 @@ impl YdbEngine {
             cost.d2h_seconds(4096.0),
         );
 
-        // Remap the batch to bound-table order and materialise the answer
-        // through the vectorized output pipeline (no tensor kernels: YDB
-        // models group-by as the separate GPU operator charged above).
-        let batch = batch.remap_slots(&joined, analyzed.tables.len());
-        let table = if self.config.count_only {
-            relops::table_from_rows(
-                "result_count",
-                &["matched_tuples".to_string()],
-                vec![vec![Value::Int(batch.len() as i64)]],
-            )?
-        } else {
-            relops::finalize_output_columnar(analyzed, &batch, &FinalizeOptions::baseline())?.0
-        };
-
+        // Materialise the answer through the vectorized output pipeline
+        // (no tensor kernels: YDB models group-by as the separate GPU
+        // operator charged above).
+        let opts = FinalizeOptions::baseline();
+        let (table, _) = pipeline::finish(analyzed, &batch, self.config.count_only, &opts)?;
         Ok(YdbOutput { table, timeline })
     }
-}
-
-/// Greedy join order (same heuristic as the TCUDB executor).
-fn join_order(analyzed: &AnalyzedQuery) -> TcuResult<Vec<usize>> {
-    let n = analyzed.tables.len();
-    let degree = |i: usize| analyzed.joins_for_table(i).len();
-    let start = (0..n).max_by_key(|&i| degree(i)).unwrap_or(0);
-    let mut order = vec![start];
-    while order.len() < n {
-        let next = (0..n).find(|i| {
-            !order.contains(i)
-                && analyzed.joins.iter().any(|j| {
-                    (j.left.0 == *i && order.contains(&j.right.0))
-                        || (j.right.0 == *i && order.contains(&j.left.0))
-                })
-        });
-        match next {
-            Some(t) => order.push(t),
-            None => return Err(TcuError::Plan("disconnected join graph".into())),
-        }
-    }
-    Ok(order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcudb_types::Value;
 
     fn engine() -> YdbEngine {
         let e = YdbEngine::default();

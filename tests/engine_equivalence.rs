@@ -173,3 +173,68 @@ fn forced_plans_do_not_change_answers() {
         assert_eq!(normalize(&out.table), reference, "plan {plan:?}");
     }
 }
+
+/// Composite join keys: the second predicate between an already-joined
+/// pair of tables is a residual of the shared join driver, so it holds on
+/// every engine (dropping it would return all six `id` matches).
+#[test]
+fn composite_join_keys_hold_on_every_engine() {
+    let mut catalog = Catalog::new();
+    catalog.register(
+        Table::from_int_columns(
+            "A",
+            &[
+                ("id", vec![1, 1, 2]),
+                ("k", vec![1, 2, 3]),
+                ("val", vec![10, 11, 20]),
+            ],
+        )
+        .unwrap(),
+    );
+    catalog.register(
+        Table::from_int_columns(
+            "B",
+            &[
+                ("id", vec![1, 1, 2, 2]),
+                ("k", vec![1, 3, 3, 4]),
+                ("val", vec![5, 6, 7, 8]),
+            ],
+        )
+        .unwrap(),
+    );
+    let tcudb = TcuDb::default();
+    tcudb.set_catalog(catalog.clone());
+    let ydb = YdbEngine::default();
+    ydb.set_catalog(catalog.clone());
+    let monet = MonetEngine::default();
+    monet.set_catalog(catalog.clone());
+    let pairs = |table: &Table| -> Vec<(i64, i64)> {
+        let mut rows: Vec<(i64, i64)> = (0..table.num_rows())
+            .map(|i| {
+                let row = table.row(i);
+                (row[0].as_i64().unwrap(), row[1].as_i64().unwrap())
+            })
+            .collect();
+        rows.sort();
+        rows
+    };
+    for (sql, want) in [
+        (
+            "SELECT A.val, B.val FROM A, B WHERE A.id = B.id AND A.k = B.k",
+            vec![(10, 5), (20, 7)],
+        ),
+        (
+            "SELECT A.val, B.val FROM A, B WHERE A.id = B.id AND A.k < B.k",
+            vec![(10, 6), (11, 6), (20, 8)],
+        ),
+    ] {
+        assert_eq!(
+            pairs(&tcudb.execute(sql).unwrap().table),
+            want,
+            "TCUDB {sql}"
+        );
+        assert_eq!(pairs(&ydb.execute(sql).unwrap().table), want, "YDB {sql}");
+        assert_eq!(pairs(&monet.execute(sql).unwrap().table), want, "CPU {sql}");
+        assert_engines_agree(&catalog, sql);
+    }
+}
