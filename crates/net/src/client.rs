@@ -6,7 +6,7 @@
 //! one round trip.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use tcudb_storage::Table;
@@ -216,6 +216,15 @@ impl Client {
             );
         }
         result
+    }
+
+    /// Half-close: shut the write side of the socket.  The server answers
+    /// every statement already sent — still in submission order, still
+    /// collected with [`Client::recv_reply`] — and then closes.
+    pub fn finish_sending(&self) -> TcuResult<()> {
+        self.stream
+            .shutdown(Shutdown::Write)
+            .map_err(|e| io_err("shutdown write half", e))
     }
 
     /// Orderly close: send `Goodbye` and drop the connection.

@@ -112,6 +112,9 @@ pub struct Conn {
     /// Prepared-statement handles, connection-scoped.
     statements: HashMap<u32, String>,
     next_statement: u32,
+    /// The peer shut its write half: no more bytes will arrive, but every
+    /// frame that did still gets its reply.
+    input_closed: bool,
 }
 
 impl Conn {
@@ -128,6 +131,7 @@ impl Conn {
             parked: HashMap::new(),
             statements: HashMap::new(),
             next_statement: 1,
+            input_closed: false,
         }
     }
 
@@ -143,6 +147,16 @@ impl Conn {
     /// Buffer raw socket bytes without processing them.
     pub fn push_bytes(&mut self, bytes: &[u8]) {
         self.reader.push_bytes(bytes);
+    }
+
+    /// The peer half-closed (the socket read returned 0): nothing more
+    /// will arrive.  Frames already fed in keep their place in the
+    /// pipeline; the connection becomes droppable once every one of them
+    /// has been answered and flushed (see [`Conn::can_drop`]).  A partial
+    /// frame left in the decoder is a mid-frame disconnect and is simply
+    /// never completed.
+    pub fn on_eof(&mut self) {
+        self.input_closed = true;
     }
 
     /// Process buffered frames up to the pipeline cap.  Called again by
@@ -349,10 +363,12 @@ impl Conn {
     // -- reactor-facing accounting --------------------------------------
 
     /// Should the reactor keep `EPOLLIN` interest?  False while closing,
-    /// while the peer isn't draining replies (write backlog at or above
-    /// the high watermark), or while the pipeline is full.
+    /// after the peer half-closed, while the peer isn't draining replies
+    /// (write backlog at or above the high watermark), or while the
+    /// pipeline is full.
     pub fn wants_read(&self) -> bool {
         self.phase != Phase::Closing
+            && !self.input_closed
             && self.buffered_out() < self.cfg.write_high_watermark
             && self.pending.len() < self.cfg.max_pipeline
     }
@@ -389,10 +405,12 @@ impl Conn {
         self.phase == Phase::Closing
     }
 
-    /// True when the connection can be dropped: closing and nothing left
-    /// to flush.
+    /// True when the connection can be dropped: nothing left to flush,
+    /// and either closing or half-closed by the peer with every statement
+    /// it sent answered.
     pub fn can_drop(&self) -> bool {
-        self.phase == Phase::Closing && self.buffered_out() == 0
+        self.buffered_out() == 0
+            && (self.phase == Phase::Closing || (self.input_closed && self.pending.is_empty()))
     }
 
     /// Statement ids still awaiting replies (for the reactor to cancel

@@ -388,10 +388,15 @@ impl Reactor {
         let Some(mut h) = self.conns.remove(&token) else {
             return;
         };
-        if mask & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 {
+        // Only an error or a full hang-up means the socket is gone.
+        // `EPOLLRDHUP` means "the peer will send no more" — bytes that
+        // arrived before (often in this very wakeup) are still there to
+        // read, and their replies are still owed: `read_ready` drains to
+        // `Ok(0)` and half-closes the state machine instead.
+        if mask & (EPOLLERR | EPOLLHUP) != 0 {
             h.dead = true;
         }
-        if !h.dead && mask & EPOLLIN != 0 {
+        if !h.dead && mask & (EPOLLIN | EPOLLRDHUP) != 0 {
             self.read_ready(&mut h);
         }
         if !h.dead && mask & EPOLLOUT != 0 {
@@ -405,7 +410,11 @@ impl Reactor {
         loop {
             match h.stream.read(&mut buf) {
                 Ok(0) => {
-                    h.dead = true;
+                    // Half-close: stop reading (`wants_read` goes false,
+                    // so `finish` drops the level-triggered read
+                    // interest); `can_drop` holds the connection until
+                    // queued replies and in-flight completions are out.
+                    h.conn.on_eof();
                     return;
                 }
                 Ok(n) => {

@@ -146,6 +146,36 @@ fn pipelined_statements_come_back_in_order_and_identical() {
 }
 
 #[test]
+fn half_closed_pipeline_still_gets_every_reply_in_order() {
+    let f = fixture();
+    let mut client = connect(f);
+    // Fire 12 statements, then shut the write half before reading
+    // anything: the server sees the statements and the half-close in one
+    // wakeup, and still owes all 12 answers.
+    let picks: Vec<usize> = (0..12).map(|i| (i * 7 + 3) % f.corpus.len()).collect();
+    let mut ids = Vec::new();
+    for &p in &picks {
+        ids.push(client.send_query(&f.corpus[p].1, None).expect("send"));
+    }
+    client.finish_sending().expect("half-close");
+    for (i, &p) in picks.iter().enumerate() {
+        let (id, result) = client.recv_reply().expect("recv after half-close");
+        assert_eq!(id, ids[i], "replies must arrive in submission order");
+        let got = result.unwrap_or_else(|e| panic!("{}: {e}", f.corpus[p].0));
+        assert_eq!(
+            &got, &f.corpus[p].2,
+            "{}: half-closed result diverged",
+            f.corpus[p].0
+        );
+    }
+    // With every reply flushed the server closes its side too.
+    assert!(
+        client.recv_reply().is_err(),
+        "server kept a half-closed, fully answered connection open"
+    );
+}
+
+#[test]
 fn parse_errors_come_back_as_typed_parse_frames() {
     let f = fixture();
     let mut client = connect(f);

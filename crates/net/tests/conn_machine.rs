@@ -211,6 +211,44 @@ fn pipeline_cap_defers_frames_until_completions_drain() {
 }
 
 #[test]
+fn half_close_keeps_the_connection_until_every_statement_is_answered() {
+    let cfg = ConnConfig {
+        max_pipeline: 2,
+        ..ConnConfig::default()
+    };
+    let mut conn = ready_conn(cfg);
+    let mut bytes = Vec::new();
+    for id in 1..=3u64 {
+        bytes.extend(query_bytes(id, &format!("SELECT {id}")));
+    }
+    // A torn fourth frame: the peer died (or gave up) mid-frame.
+    bytes.extend(&query_bytes(4, "SELECT 4")[..9]);
+    assert_eq!(conn.on_bytes(&bytes).len(), 2, "two submit, one waits");
+    conn.on_eof();
+    assert!(!conn.wants_read(), "nothing more will arrive");
+    assert!(!conn.is_closing(), "half-close is not a close");
+    assert!(!conn.can_drop(), "statements 1 and 2 are unanswered");
+    // Statement 3 was buffered behind the cap before the half-close and
+    // still runs; replies keep submission order.
+    conn.complete(2, done_reply(2));
+    conn.complete(1, done_reply(1));
+    assert_eq!(conn.resume().len(), 1, "statement 3 follows");
+    assert!(!conn.can_drop(), "statement 3 is unanswered");
+    conn.complete(3, done_reply(3));
+    assert!(conn.resume().is_empty(), "the torn frame never completes");
+    assert!(!conn.can_drop(), "replies not flushed yet");
+    let ids: Vec<u64> = drain_replies(&mut conn)
+        .iter()
+        .map(|f| match f {
+            Frame::ResultDone { id, .. } => *id,
+            other => panic!("unexpected reply {other:?}"),
+        })
+        .collect();
+    assert_eq!(ids, vec![1, 2, 3]);
+    assert!(conn.can_drop(), "answered, flushed, half-closed");
+}
+
+#[test]
 fn duplicate_statement_id_is_a_protocol_error() {
     let mut conn = ready_conn(ConnConfig::default());
     conn.on_bytes(&query_bytes(5, "SELECT 5"));

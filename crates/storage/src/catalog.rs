@@ -4,13 +4,20 @@ use crate::stats::TableStats;
 use crate::table::Table;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tcudb_types::{TcuError, TcuResult};
+use tcudb_types::{TcuError, TcuResult, Value};
 
-/// A catalog of registered tables plus their (lazily computed) statistics.
+/// A catalog of registered tables plus their statistics.
 ///
 /// Every engine in the workspace (TCUDB, the YDB baseline, the CPU
 /// baseline) executes queries against a `Catalog`, so the same data is
 /// guaranteed to be visible to every engine in a comparison experiment.
+///
+/// Statistics are exact and are kept current along each table's lineage
+/// rather than recomputed: [`Catalog::register`] pays one pass over the
+/// table, [`Catalog::append_rows`] pays for the appended rows only.  What
+/// the catalog stores — and what a snapshot of it shares — is the frozen
+/// O(columns) [`TableStats`]; the accumulator behind it is writer-side
+/// state parked on the newest table version.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: HashMap<String, Arc<Table>>,
@@ -23,13 +30,52 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register a table under its own name, computing its statistics.
+    /// Register a table under its own name, computing its statistics
+    /// (one full build; the accumulator is dropped, so a table that is
+    /// never appended to carries nothing but the frozen numbers).
     /// Re-registering a name replaces the previous table.
     pub fn register(&mut self, table: Table) {
+        let mut acc = table.stats_lineage().start_accumulator(&table);
+        acc.extend(&table);
+        let stats = acc.freeze(&table);
+        self.insert(table, stats);
+    }
+
+    /// Append `rows` to the registered table `name`, replacing it with
+    /// the extended version — the write half of a copy-on-write commit.
+    ///
+    /// Cost: one clone of the current version (a memcpy of its column
+    /// vectors and warm dictionary codes; readers pinned to it keep it),
+    /// then O(batch) — [`Table::append_row_slice`] extends warm encodings
+    /// and zone maps in place, and the statistics accumulator is *moved*
+    /// from the current version to the new one and folds in only the
+    /// appended rows.  A version that holds no accumulator (freshly
+    /// registered, recovered, forked, or left behind by a commit that was
+    /// staged but never published) starts one here: a single full build,
+    /// after which every further append to its successors is O(batch).
+    ///
+    /// The batch is validated before anything is taken or replaced: a
+    /// rejected batch leaves the catalog and the current version's
+    /// accumulator untouched.
+    pub fn append_rows(&mut self, name: &str, rows: &[Vec<Value>]) -> TcuResult<()> {
+        let base = self.table(name)?;
+        let mut table = (*base).clone();
+        table.append_row_slice(rows)?;
+        let mut acc = base
+            .stats_lineage()
+            .take_accumulator()
+            .unwrap_or_else(|| table.stats_lineage().start_accumulator(&table));
+        acc.extend(&table);
+        let stats = acc.freeze(&table);
+        table.stats_lineage().park_accumulator(acc);
+        self.insert(table, stats);
+        Ok(())
+    }
+
+    fn insert(&mut self, table: Table, stats: TableStats) {
         let key = table.name().to_ascii_lowercase();
-        let stats = Arc::new(table.compute_stats());
         self.tables.insert(key.clone(), Arc::new(table));
-        self.stats.insert(key, stats);
+        self.stats.insert(key, Arc::new(stats));
     }
 
     /// Register a table under an explicit name.

@@ -27,7 +27,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use tcudb_types::sync::locked;
-use tcudb_types::Value;
 
 /// Default rows per chunk (64Ki) — matches the durability layer's append
 /// slicing so sealed segments and zone-map chunks share boundaries.
@@ -174,9 +173,32 @@ impl ColumnZones {
         }
     }
 
-    /// Extend the map with one appended value — the incremental-tail path
-    /// `push_row` uses to keep warm zone maps correct without a rebuild.
-    fn push_value(&mut self, v: &Value) {
+    /// Extend the map with the rows `col[start..]` — the incremental-tail
+    /// path appends use to keep warm zone maps correct without a rebuild.
+    pub fn extend_from_column(&mut self, col: &Column, start: usize) {
+        match col {
+            Column::Int64(v) => {
+                for &x in v.get(start..).unwrap_or(&[]) {
+                    self.push_bound(int_bound(x));
+                }
+            }
+            Column::Float64(v) => {
+                for &x in v.get(start..).unwrap_or(&[]) {
+                    self.push_bound(Some(x));
+                }
+            }
+            // Text chunks carry no numeric bounds.
+            Column::Text(v) => {
+                for _ in v.get(start..).unwrap_or(&[]) {
+                    self.push_bound(None);
+                }
+            }
+        }
+    }
+
+    /// Fold one appended value's exact `f64` image into the tail chunk;
+    /// `None` (no exact image) makes the chunk unprunable.
+    fn push_bound(&mut self, bound: Option<f64>) {
         let k = self.rows / self.chunk_rows;
         let first = self.rows.is_multiple_of(self.chunk_rows);
         if first {
@@ -184,14 +206,9 @@ impl ColumnZones {
             self.zones.push(None);
         }
         let entry = &mut self.zones[k];
-        match v {
-            Value::Int(i) => match int_bound(*i) {
-                Some(x) => fold(entry, first, x),
-                None => *entry = None,
-            },
-            Value::Float(x) => fold(entry, first, *x),
-            // Text (and anything non-numeric) keeps the chunk unprunable.
-            _ => *entry = None,
+        match bound {
+            Some(x) => fold(entry, first, x),
+            None => *entry = None,
         }
         self.rows += 1;
     }
@@ -264,12 +281,15 @@ impl ZoneCache {
         built
     }
 
-    /// Extend every *warm* zone map with the values of one appended row
-    /// (copy-on-write: maps pinned by concurrent readers are unaffected).
-    pub fn extend_with_row<F: Fn(usize) -> Value>(&self, value_at: F) {
+    /// Extend every *warm* zone map with the rows `columns[idx][start..]`
+    /// (copy-on-write: maps pinned by concurrent readers are unaffected);
+    /// one lock acquisition per batch.
+    pub fn extend_from(&self, columns: &[Column], start: usize) {
         let mut st = locked(&self.inner);
         for (idx, z) in st.zones.iter_mut() {
-            Arc::make_mut(z).push_value(&value_at(*idx));
+            if let Some(col) = columns.get(*idx) {
+                Arc::make_mut(z).extend_from_column(col, start);
+            }
         }
     }
 
@@ -372,11 +392,10 @@ mod tests {
         let mut data = vec![3_i64, 8, 1];
         let col = Column::Int64(data.clone());
         let mut z = ColumnZones::build(&col, 2);
-        for v in [9_i64, -4, 2, 7] {
-            data.push(v);
-            z.push_value(&Value::Int(v));
-        }
-        assert_eq!(z, ColumnZones::build(&Column::Int64(data), 2));
+        data.extend([9_i64, -4, 2, 7]);
+        let longer = Column::Int64(data);
+        z.extend_from_column(&longer, 3);
+        assert_eq!(z, ColumnZones::build(&longer, 2));
         assert_eq!(z.chunk_count(), 4);
     }
 
@@ -398,7 +417,7 @@ mod tests {
         assert_eq!(cache.build_count(), 1);
         let z2 = cache.get_or_build(0, || ColumnZones::build(&col, 2));
         assert!(Arc::ptr_eq(&z, &z2));
-        cache.extend_with_row(|_| Value::Int(99));
+        cache.extend_from(&[Column::Int64(vec![4, 6, 99])], 2);
         // Pinned map unaffected; warm map extended without a rebuild.
         assert_eq!(z.rows(), 2);
         let z3 = cache.get_or_build(0, || unreachable!("warm map must not rebuild"));

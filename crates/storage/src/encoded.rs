@@ -168,19 +168,44 @@ impl DictColumn {
         self.index.get(&value.group_key()).copied()
     }
 
-    /// Append one more row's value, extending the dictionary if the value
-    /// is new.  Keys exactly like the build paths (`group_key`
-    /// normalisation), so an incrementally extended dictionary is
-    /// indistinguishable from one rebuilt from scratch over the longer
-    /// column — `Table::push_row` uses this to keep warm encodings valid
-    /// through ingest instead of discarding them.
-    pub fn push_value(&mut self, value: &Value) {
-        let key = value.group_key();
-        let code = *self.index.entry(key.clone()).or_insert_with(|| {
-            self.keys.push(key);
-            self.values.push(value.clone());
-            (self.keys.len() - 1) as u32
-        });
+    /// Append the rows `col[start..]` — how `Table::append_row_slice`
+    /// keeps a warm encoding valid through ingest instead of discarding
+    /// it.  Keys exactly like the build paths (`group_key` normalisation),
+    /// so an incrementally extended dictionary is indistinguishable from
+    /// one rebuilt from scratch over the longer column.  Reads the typed
+    /// column slice directly: a `Value` is built only for a value the
+    /// dictionary has not seen.
+    pub fn extend_from_column(&mut self, col: &Column, start: usize) {
+        match col {
+            Column::Int64(v) => {
+                for &x in v.get(start..).unwrap_or(&[]) {
+                    self.push_keyed(ValueKey::Int(x), || Value::Int(x));
+                }
+            }
+            Column::Float64(v) => {
+                for &x in v.get(start..).unwrap_or(&[]) {
+                    self.push_keyed(ValueKey::from_f64(x), || Value::Float(x));
+                }
+            }
+            Column::Text(v) => {
+                for s in v.get(start..).unwrap_or(&[]) {
+                    self.push_keyed(ValueKey::Text(s.clone()), || Value::Text(s.clone()));
+                }
+            }
+        }
+    }
+
+    fn push_keyed(&mut self, key: ValueKey, value: impl FnOnce() -> Value) {
+        let code = match self.index.get(&key) {
+            Some(&code) => code,
+            None => {
+                let code = self.keys.len() as u32;
+                self.index.insert(key.clone(), code);
+                self.keys.push(key);
+                self.values.push(value());
+                code
+            }
+        };
         self.codes.push(code);
     }
 
@@ -227,18 +252,21 @@ impl EncodingCache {
             .clone()
     }
 
-    /// Extend every warm entry with one appended row, keeping the cache
-    /// valid through `Table::push_row` instead of invalidating it.
+    /// Extend every warm entry with the rows `columns[idx][start..]`,
+    /// keeping the cache valid through an append instead of invalidating
+    /// it: one lock acquisition and one copy-on-write per warm column,
+    /// however many rows the batch holds.
     ///
-    /// `value_of` maps a column index to the appended row's value for that
-    /// column.  Entries are copy-on-write: if a pinned snapshot still
-    /// holds an `Arc` to the old encoding (covering the shorter column),
-    /// that encoding is left untouched and this table gets an extended
-    /// copy — [`std::sync::Arc::make_mut`] semantics.
-    pub fn extend_with_row(&self, value_of: impl Fn(usize) -> Value) {
+    /// Entries are copy-on-write: if a pinned snapshot still holds an
+    /// `Arc` to the old encoding (covering the shorter column), that
+    /// encoding is left untouched and this table gets an extended copy —
+    /// [`std::sync::Arc::make_mut`] semantics.
+    pub fn extend_from(&self, columns: &[Column], start: usize) {
         let mut map = locked(&self.inner);
         for (&idx, dict) in map.iter_mut() {
-            std::sync::Arc::make_mut(dict).push_value(&value_of(idx));
+            if let Some(col) = columns.get(idx) {
+                std::sync::Arc::make_mut(dict).extend_from_column(col, start);
+            }
         }
     }
 

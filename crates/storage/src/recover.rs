@@ -320,7 +320,7 @@ fn apply_record(
                 Entry::Vacant(v) => v.insert(Some((*catalog.table(name)?).clone())),
             };
             match slot {
-                Some(table) => table.append_rows(rows.clone()),
+                Some(table) => table.append_row_slice(rows),
                 None => Err(TcuError::Io(format!(
                     "WAL appends to dropped table '{name}'"
                 ))),

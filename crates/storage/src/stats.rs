@@ -4,12 +4,25 @@
 //! §4.2.1 of the paper: *"TCUDB adds metadata to each database table to
 //! contain three values for each column, including (1) the minimum value,
 //! (2) the maximum value, and (3) the number of distinct values."*
+//!
+//! All three are folds, so they are kept by one incremental
+//! `StatsAccumulator`: a running min/max plus an exact distinct set per
+//! column.  [`TableStats::compute`] is "accumulate the whole table, then
+//! freeze"; an append is "accumulate the new rows, then freeze" on the
+//! accumulator the previous version left behind (see `StatsLineage`).
+//! There is no second way to derive a [`TableStats`], so the full and the
+//! incremental build cannot disagree.
 
 use crate::column::Column;
+use crate::schema::Schema;
 use crate::table::Table;
 use std::collections::HashMap;
 use std::collections::HashSet;
+use std::fmt;
+use std::sync::Mutex;
+use tcudb_types::sync::locked;
 use tcudb_types::value::ValueKey;
+use tcudb_types::DataType;
 
 /// Statistics for a single column.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,35 +40,11 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Compute statistics for a column.
+    /// Compute statistics for a column: accumulate all of it, freeze.
     pub fn compute(name: &str, column: &Column) -> ColumnStats {
-        let row_count = column.len();
-        let (min, max) = match column {
-            Column::Int64(v) => (
-                v.iter().min().map(|&m| m as f64),
-                v.iter().max().map(|&m| m as f64),
-            ),
-            Column::Float64(v) => (
-                v.iter().cloned().fold(None, |acc: Option<f64>, x| {
-                    Some(acc.map_or(x, |a| a.min(x)))
-                }),
-                v.iter().cloned().fold(None, |acc: Option<f64>, x| {
-                    Some(acc.map_or(x, |a| a.max(x)))
-                }),
-            ),
-            Column::Text(_) => (None, None),
-        };
-        let mut distinct: HashSet<ValueKey> = HashSet::with_capacity(row_count.min(1 << 16));
-        for i in 0..row_count {
-            distinct.insert(column.value(i).group_key());
-        }
-        ColumnStats {
-            name: name.to_string(),
-            min,
-            max,
-            distinct_count: distinct.len(),
-            row_count,
-        }
+        let mut acc = ColumnAccumulator::new(column.data_type(), column.len());
+        acc.extend(column, 0);
+        acc.freeze(name, column.len())
     }
 
     /// Largest absolute value in the column (0 for text / empty columns).
@@ -108,17 +97,9 @@ pub struct TableStats {
 impl TableStats {
     /// Compute statistics for every column of `table`.
     pub fn compute(table: &Table) -> TableStats {
-        let mut columns = HashMap::new();
-        for (i, def) in table.schema().columns().iter().enumerate() {
-            let stats = ColumnStats::compute(&def.name, table.column(i));
-            columns.insert(def.name.to_ascii_lowercase(), stats);
-        }
-        TableStats {
-            columns,
-            row_count: table.num_rows(),
-            chunk_rows: table.chunk_rows(),
-            chunk_count: table.chunk_count(),
-        }
+        let mut acc = StatsAccumulator::new(table.schema(), table.num_rows());
+        acc.extend(table);
+        acc.freeze(table)
     }
 
     /// Look up statistics for a column (case-insensitive).
@@ -132,6 +113,256 @@ impl TableStats {
         self.column(name)
             .map(|c| c.distinct_count)
             .unwrap_or(self.row_count)
+    }
+}
+
+/// Initial capacity cap of a distinct set (the table may hold far fewer
+/// distinct values than rows).
+const DISTINCT_RESERVE: usize = 1 << 16;
+
+/// Running min/max and exact distinct set of one column.  The set is
+/// keyed exactly as [`tcudb_types::Value::group_key`] normalises — `i64`
+/// for integers, [`ValueKey::from_f64`] for floats (integral floats unify
+/// with integers, NaNs key by bit pattern), the string itself for text —
+/// but typed per column, so folding a cell allocates nothing unless it is
+/// a text value never seen before.
+#[derive(Debug)]
+enum ColumnAccumulator {
+    Int {
+        bounds: Option<(i64, i64)>,
+        distinct: HashSet<i64>,
+    },
+    Float {
+        min: Option<f64>,
+        max: Option<f64>,
+        distinct: HashSet<ValueKey>,
+    },
+    Text {
+        distinct: HashSet<String>,
+    },
+}
+
+impl ColumnAccumulator {
+    fn new(data_type: DataType, expected_rows: usize) -> ColumnAccumulator {
+        let cap = expected_rows.min(DISTINCT_RESERVE);
+        match data_type {
+            DataType::Int64 => ColumnAccumulator::Int {
+                bounds: None,
+                distinct: HashSet::with_capacity(cap),
+            },
+            DataType::Float64 => ColumnAccumulator::Float {
+                min: None,
+                max: None,
+                distinct: HashSet::with_capacity(cap),
+            },
+            DataType::Text => ColumnAccumulator::Text {
+                distinct: HashSet::with_capacity(cap),
+            },
+        }
+    }
+
+    /// Fold in `column[start..]`.
+    fn extend(&mut self, column: &Column, start: usize) {
+        match (self, column) {
+            (ColumnAccumulator::Int { bounds, distinct }, Column::Int64(v)) => {
+                for &x in v.get(start..).unwrap_or(&[]) {
+                    *bounds = Some(bounds.map_or((x, x), |(lo, hi)| (lo.min(x), hi.max(x))));
+                    distinct.insert(x);
+                }
+            }
+            (ColumnAccumulator::Float { min, max, distinct }, Column::Float64(v)) => {
+                for &x in v.get(start..).unwrap_or(&[]) {
+                    // `f64::min`/`max` skip a NaN operand, so a NaN only
+                    // survives as a bound when every value so far is NaN.
+                    *min = Some(min.map_or(x, |a| a.min(x)));
+                    *max = Some(max.map_or(x, |a| a.max(x)));
+                    distinct.insert(ValueKey::from_f64(x));
+                }
+            }
+            (ColumnAccumulator::Text { distinct }, Column::Text(v)) => {
+                for s in v.get(start..).unwrap_or(&[]) {
+                    if !distinct.contains(s.as_str()) {
+                        distinct.insert(s.clone());
+                    }
+                }
+            }
+            (acc, column) => {
+                // Accumulators are made from the schema of the table
+                // whose columns they fold, so the kinds always agree.
+                debug_assert!(
+                    false,
+                    "{acc:?} cannot accumulate a {:?} column",
+                    column.data_type()
+                );
+            }
+        }
+    }
+
+    fn freeze(&self, name: &str, row_count: usize) -> ColumnStats {
+        let (min, max, distinct_count) = match self {
+            ColumnAccumulator::Int { bounds, distinct } => (
+                bounds.map(|(lo, _)| lo as f64),
+                bounds.map(|(_, hi)| hi as f64),
+                distinct.len(),
+            ),
+            ColumnAccumulator::Float { min, max, distinct } => (*min, *max, distinct.len()),
+            ColumnAccumulator::Text { distinct } => (None, None, distinct.len()),
+        };
+        ColumnStats {
+            name: name.to_string(),
+            min,
+            max,
+            distinct_count,
+            row_count,
+        }
+    }
+}
+
+/// The incremental form of a table's statistics: one
+/// [`ColumnAccumulator`] per column and the number of rows folded so far.
+///
+/// This is **writer-side** state.  A frozen [`TableStats`] is O(columns)
+/// and is what snapshots, the planner and the executor see; the
+/// accumulator is O(distinct values) and exists only so the *next* append
+/// costs O(batch).  It is deliberately not `Clone`: exactly one table
+/// version may continue a lineage, so the accumulator moves (see
+/// [`StatsLineage`]) and is never copied.
+#[derive(Debug)]
+pub(crate) struct StatsAccumulator {
+    columns: Vec<ColumnAccumulator>,
+    rows: usize,
+}
+
+impl StatsAccumulator {
+    /// An accumulator that has seen no rows of a table with `schema`.
+    pub(crate) fn new(schema: &Schema, expected_rows: usize) -> StatsAccumulator {
+        StatsAccumulator {
+            columns: schema
+                .columns()
+                .iter()
+                .map(|def| ColumnAccumulator::new(def.data_type, expected_rows))
+                .collect(),
+            rows: 0,
+        }
+    }
+
+    /// Fold in the rows of `table` this accumulator has not seen yet:
+    /// all of them for a fresh accumulator, the appended tail for one
+    /// moved over from the version `table` extends.
+    pub(crate) fn extend(&mut self, table: &Table) {
+        debug_assert_eq!(self.columns.len(), table.num_columns());
+        debug_assert!(self.rows <= table.num_rows());
+        for (acc, column) in self.columns.iter_mut().zip(table.columns()) {
+            acc.extend(column, self.rows);
+        }
+        self.rows = table.num_rows();
+    }
+
+    /// The O(columns) statistics of `table`, which must be the table
+    /// last passed to [`StatsAccumulator::extend`].
+    pub(crate) fn freeze(&self, table: &Table) -> TableStats {
+        debug_assert_eq!(self.rows, table.num_rows());
+        let columns = table
+            .schema()
+            .columns()
+            .iter()
+            .zip(&self.columns)
+            .map(|(def, acc)| {
+                (
+                    def.name.to_ascii_lowercase(),
+                    acc.freeze(&def.name, self.rows),
+                )
+            })
+            .collect();
+        TableStats {
+            columns,
+            row_count: self.rows,
+            chunk_rows: table.chunk_rows(),
+            chunk_count: table.chunk_count(),
+        }
+    }
+}
+
+#[derive(Default)]
+struct LineageState {
+    accumulator: Option<StatsAccumulator>,
+    started: u64,
+}
+
+/// Where a table version keeps the [`StatsAccumulator`] for its
+/// successor, plus a count of how often its lineage had to start one
+/// from nothing.
+///
+/// Ownership rule: the accumulator belongs to **at most one** table
+/// version — the newest of its lineage.  [`Catalog::append_rows`]
+/// *takes* it from the version being extended, folds in the batch, and
+/// parks it on the successor.  A version whose accumulator is gone or was
+/// never there — freshly registered, recovered, `clone`d, forked by
+/// `TcuDb::clone` after the other side appended, or the predecessor of a
+/// commit whose WAL write failed — starts a new one on its first append,
+/// which costs one pass over the table, and a table that is never
+/// appended to never holds one.  `Clone` therefore yields an empty slot;
+/// like the other derived caches it is excluded from table equality.
+///
+/// [`Catalog::append_rows`]: crate::Catalog::append_rows
+#[derive(Default)]
+pub(crate) struct StatsLineage {
+    // lint: leaf-lock held only to move the accumulator in or out or to
+    // bump the counter; the folding itself runs outside the lock
+    inner: Mutex<LineageState>,
+}
+
+impl StatsLineage {
+    /// Move the parked accumulator out, if there is one.
+    pub(crate) fn take_accumulator(&self) -> Option<StatsAccumulator> {
+        let mut st = locked(&self.inner);
+        st.accumulator.take()
+    }
+
+    /// A fresh accumulator for `table`; whoever asks is about to pay a
+    /// full pass over it, which is what [`StatsLineage::started_count`]
+    /// counts.
+    pub(crate) fn start_accumulator(&self, table: &Table) -> StatsAccumulator {
+        locked(&self.inner).started += 1;
+        StatsAccumulator::new(table.schema(), table.num_rows())
+    }
+
+    /// Park `accumulator` for the next append to this version.
+    pub(crate) fn park_accumulator(&self, accumulator: StatsAccumulator) {
+        locked(&self.inner).accumulator = Some(accumulator);
+    }
+
+    /// How many accumulators this table's lineage has started from
+    /// nothing — each one a full statistics build.  Carried across
+    /// `clone` the way [`ZoneCache::build_count`] is.
+    ///
+    /// [`ZoneCache::build_count`]: crate::ZoneCache::build_count
+    pub(crate) fn started_count(&self) -> u64 {
+        locked(&self.inner).started
+    }
+}
+
+impl Clone for StatsLineage {
+    fn clone(&self) -> Self {
+        StatsLineage {
+            inner: Mutex::new(LineageState {
+                accumulator: None,
+                started: self.started_count(),
+            }),
+        }
+    }
+}
+
+impl PartialEq for StatsLineage {
+    fn eq(&self, _other: &Self) -> bool {
+        // Derived state: never affects table equality.
+        true
+    }
+}
+
+impl fmt::Debug for StatsLineage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "StatsLineage({} started)", self.started_count())
     }
 }
 

@@ -4,7 +4,7 @@ use crate::chunk::{self, ColumnZones, ZoneCache, DEFAULT_CHUNK_ROWS};
 use crate::column::Column;
 use crate::encoded::{DictColumn, EncodingCache};
 use crate::schema::{ColumnDef, Schema};
-use crate::stats::TableStats;
+use crate::stats::{StatsLineage, TableStats};
 use std::sync::Arc;
 use tcudb_types::{DataType, TcuError, TcuResult, Value};
 
@@ -24,6 +24,9 @@ pub struct Table {
     /// (derived state, excluded from equality).  Maintained incrementally
     /// by `push_row` / `append_rows` the same way the encodings are.
     zones: ZoneCache,
+    /// The statistics accumulator parked for this version's successor
+    /// (writer-side derived state, excluded from equality, never cloned).
+    stats: StatsLineage,
 }
 
 impl Table {
@@ -41,6 +44,7 @@ impl Table {
             rows: 0,
             encodings: EncodingCache::default(),
             zones: ZoneCache::new(DEFAULT_CHUNK_ROWS),
+            stats: StatsLineage::default(),
         }
     }
 
@@ -81,6 +85,7 @@ impl Table {
             rows,
             encodings: EncodingCache::default(),
             zones: ZoneCache::new(DEFAULT_CHUNK_ROWS),
+            stats: StatsLineage::default(),
         })
     }
 
@@ -130,47 +135,28 @@ impl Table {
         &self.columns
     }
 
-    /// Append a row of values (one per column, in schema order).
+    /// Append a row of values (one per column, in schema order): the
+    /// one-row case of [`Table::append_row_slice`].
     pub fn push_row(&mut self, row: Vec<Value>) -> TcuResult<()> {
-        if row.len() != self.columns.len() {
-            return Err(TcuError::InvalidArgument(format!(
-                "row has {} values, table {} has {} columns",
-                row.len(),
-                self.name,
-                self.columns.len()
-            )));
-        }
-        // Validate every value before mutating anything: a mid-row type
-        // error must not leave the columns at uneven lengths.
-        for (i, (col, val)) in self.columns.iter().zip(&row).enumerate() {
-            if !col.can_push(val) {
-                return Err(TcuError::InvalidArgument(format!(
-                    "cannot push {val:?} into {:?} column {} of table {}",
-                    col.data_type(),
-                    self.schema.column(i).name,
-                    self.name
-                )));
-            }
-        }
-        for (col, val) in self.columns.iter_mut().zip(&row) {
-            col.push(val.clone())?;
-        }
-        self.rows += 1;
-        // Keep warm dictionary encodings valid by extending them with the
-        // appended row (copy-on-write, so encodings pinned by concurrent
-        // snapshots of the pre-ingest table are unaffected).  Before this,
-        // every `push_row` discarded the whole cache and the next query
-        // re-encoded every column from scratch.
-        self.encodings.extend_with_row(|idx| row[idx].clone());
-        self.zones.extend_with_row(|idx| row[idx].clone());
-        Ok(())
+        self.append_row_slice(std::slice::from_ref(&row))
     }
 
-    /// Append a batch of rows atomically: the whole batch is validated
-    /// (arity and value types) before any column is touched, so a
-    /// rejected batch leaves the table — including its warm
-    /// [`EncodingCache`] — exactly as it was.
+    /// Append a batch of rows atomically; see [`Table::append_row_slice`].
     pub fn append_rows(&mut self, rows: Vec<Vec<Value>>) -> TcuResult<()> {
+        self.append_row_slice(&rows)
+    }
+
+    /// Append a borrowed batch of rows atomically: the whole batch is
+    /// validated (arity and value types) before any column is touched, so
+    /// a rejected batch leaves the table — including its warm
+    /// [`EncodingCache`] and zone maps — exactly as it was.
+    ///
+    /// Warm dictionary encodings and zone maps are then extended **once
+    /// per batch** from the appended column slices (copy-on-write, so
+    /// structures pinned by concurrent snapshots of the pre-ingest table
+    /// are unaffected): one lock and one `Arc::make_mut` per warm column,
+    /// never a rebuild and never a per-row `Value`.
+    pub fn append_row_slice(&mut self, rows: &[Vec<Value>]) -> TcuResult<()> {
         for (r, row) in rows.iter().enumerate() {
             if row.len() != self.columns.len() {
                 return Err(TcuError::InvalidArgument(format!(
@@ -191,14 +177,15 @@ impl Table {
                 }
             }
         }
+        let start = self.rows;
         for row in rows {
-            for (col, val) in self.columns.iter_mut().zip(&row) {
+            for (col, val) in self.columns.iter_mut().zip(row) {
                 col.push(val.clone())?;
             }
-            self.rows += 1;
-            self.encodings.extend_with_row(|idx| row[idx].clone());
-            self.zones.extend_with_row(|idx| row[idx].clone());
         }
+        self.rows += rows.len();
+        self.encodings.extend_from(&self.columns, start);
+        self.zones.extend_from(&self.columns, start);
         Ok(())
     }
 
@@ -277,6 +264,7 @@ impl Table {
             rows: rows.len(),
             encodings: EncodingCache::default(),
             zones: ZoneCache::new(self.zones.chunk_rows()),
+            stats: StatsLineage::default(),
         }
     }
 
@@ -308,9 +296,26 @@ impl Table {
     }
 
     /// Compute per-column statistics (min / max / distinct count), the
-    /// metadata the TCUDB optimizer consults (§4.2.1).
+    /// metadata the TCUDB optimizer consults (§4.2.1), from scratch.
+    /// Catalogs do not call this per commit: they keep the statistics
+    /// current along the table's lineage (see
+    /// [`Catalog::append_rows`](crate::Catalog::append_rows)), and must
+    /// agree with it field for field.
     pub fn compute_stats(&self) -> TableStats {
         TableStats::compute(self)
+    }
+
+    /// Where this version parks the statistics accumulator for its
+    /// successor.
+    pub(crate) fn stats_lineage(&self) -> &StatsLineage {
+        &self.stats
+    }
+
+    /// How many full statistics builds the catalog has performed along
+    /// this table's lineage (regression hook: appends must extend the
+    /// accumulator their predecessor left, not start over).
+    pub fn stats_build_count(&self) -> u64 {
+        self.stats.started_count()
     }
 
     /// Sort the table by a column (ascending or descending), returning a
