@@ -159,6 +159,17 @@ pub fn analyze(stmt: &SelectStatement, catalog: &Catalog) -> TcuResult<AnalyzedQ
             ctx.resolve(col)?;
         }
     }
+    // The output stage finishes an aggregate item by evaluating the
+    // arithmetic around its one aggregate call.
+    for item in &stmt.items {
+        if aggregate_calls(&item.expr) > 1 {
+            return Err(TcuError::Analysis(format!(
+                "SELECT item '{}' has more than one aggregate call; \
+                 give each aggregate its own SELECT item",
+                item.expr
+            )));
+        }
+    }
 
     // Classify WHERE conjuncts.
     let mut joins = Vec::new();
@@ -182,6 +193,18 @@ pub fn analyze(stmt: &SelectStatement, catalog: &Catalog) -> TcuResult<AnalyzedQ
         residual,
         pattern,
     })
+}
+
+/// Number of aggregate calls in an expression, nested ones included.
+fn aggregate_calls(expr: &Expr) -> usize {
+    match expr {
+        Expr::Aggregate { arg, .. } => 1 + aggregate_calls(arg),
+        Expr::Column(_) | Expr::Literal(_) => 0,
+        Expr::Binary { left, right, .. } => aggregate_calls(left) + aggregate_calls(right),
+        Expr::Between { expr, low, high } => {
+            aggregate_calls(expr) + aggregate_calls(low) + aggregate_calls(high)
+        }
+    }
 }
 
 enum Classified {

@@ -1,13 +1,14 @@
 //! Late-materialized tuple batches.
 //!
-//! The executors used to carry join intermediates as `Vec<Vec<usize>>` —
-//! one heap-allocated row-index vector per joined tuple, cloned and grown
-//! at every join step and walked row-by-row by `finalize_output`.  A
-//! [`TupleBatch`] is the struct-of-arrays form: one flat `Vec<u32>` row-
-//! index column per bound table, so a join step is a columnar gather, the
-//! final remap to bound-table order is a column permutation (O(tables)
-//! instead of O(tuples·tables)), and the output pipeline can gather typed
-//! columns directly with zero per-row allocation.
+//! Join intermediates travel as a [`TupleBatch`], the struct-of-arrays
+//! form of a list of joined tuples: one flat `Vec<u32>` row-index column
+//! per bound table, with no per-tuple allocation.  A join step is a
+//! columnar gather, the final remap to bound-table order is a column
+//! permutation (O(tables) instead of O(tuples·tables)), and the one
+//! finalize path (`relops::finalize_output_columnar`) gathers typed
+//! columns directly.  Only its expression evaluator turns a tuple back
+//! into row indices ([`TupleBatch::write_row`]), for expressions it must
+//! interpret one tuple at a time.
 //!
 //! Row indices are `u32`: the storage layer addresses at most `u32::MAX`
 //! rows per table (the SSB mini-scale generator tops out around 10⁶), and
@@ -145,19 +146,12 @@ impl TupleBatch {
     }
 
     /// Materialise tuple `i` as row indices into `buf` (one per slot) —
-    /// the bridge to the row-at-a-time expression interpreter.
+    /// the bridge to the per-tuple expression interpreter.
     pub fn write_row(&self, i: usize, buf: &mut [usize]) {
         debug_assert_eq!(buf.len(), self.cols.len());
         for (slot, col) in buf.iter_mut().zip(&self.cols) {
             *slot = col[i] as usize;
         }
-    }
-
-    /// Convert back to row-oriented tuples (oracle paths and tests).
-    pub fn to_tuples(&self) -> Vec<Vec<usize>> {
-        (0..self.len)
-            .map(|i| self.cols.iter().map(|c| c[i] as usize).collect())
-            .collect()
     }
 }
 
@@ -166,9 +160,9 @@ impl TupleBatch {
 /// Starts with every tuple in group 0 and folds key columns in one at a
 /// time: after each [`GroupIds::compose`] call, two tuples share an id iff
 /// they agreed on every key folded so far, and ids count up in order of
-/// first appearance — exactly the group order the row-at-a-time
-/// aggregation produces with its first-seen `HashMap` bookkeeping, but
-/// computed with array lookups (hashing at most once per *distinct*
+/// first appearance — exactly the group order of a row-at-a-time
+/// aggregation with first-seen `HashMap` bookkeeping (the reference's),
+/// but computed with array lookups (hashing at most once per *distinct*
 /// combination, and only on the wide-key fallback).
 #[derive(Debug, Clone)]
 pub struct GroupIds {
@@ -253,6 +247,16 @@ impl GroupIds {
     /// First-seen tuple index of each group, in id order.
     pub fn representatives(&self) -> &[u32] {
         &self.representatives
+    }
+}
+
+#[cfg(test)]
+impl TupleBatch {
+    /// Convert back to row-oriented tuples.
+    pub fn to_tuples(&self) -> Vec<Vec<usize>> {
+        (0..self.len)
+            .map(|i| self.cols.iter().map(|c| c[i] as usize).collect())
+            .collect()
     }
 }
 

@@ -118,6 +118,12 @@ impl EngineConfig {
 }
 
 /// The result of executing one SQL query.
+///
+/// Without `ORDER BY`, the order of the rows in [`QueryOutput::table`] is
+/// unspecified: it follows the join plan (nonzero extraction is
+/// left-major, the code join probe-major), so two plans — or two engines —
+/// may return the same rows in different orders.  Compare unordered
+/// results as multisets.
 #[derive(Debug, Clone)]
 pub struct QueryOutput {
     /// The result rows.

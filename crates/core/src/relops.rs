@@ -8,15 +8,19 @@
 //!
 //! # Output pipeline
 //!
-//! [`finalize_output_columnar`] materialises a query's result: the
-//! vectorized, late-materialized pipeline over a [`TupleBatch`].  Group
-//! keys are composed from cached dictionary codes into dense first-seen
-//! group ids, aggregates run as segmented accumulation over
-//! `Vec<AggState>`, and projection/ORDER BY/LIMIT work as typed gathers
-//! over a sort permutation.  The row-at-a-time [`finalize_output`] remains
-//! for the one shape the columnar pipeline does not cover — `GROUP BY` over
-//! a complex expression (`FinalizeReport::path == "value-fallback"`) — and
-//! as the evaluator the dev-only `tcudb-reference` oracle calls.
+//! [`finalize_output_columnar`] is the one finalize path: the vectorized,
+//! late-materialized pipeline over a [`TupleBatch`].  Every per-tuple
+//! expression in it — residual predicate, group key, aggregate argument,
+//! projection item — goes through one evaluator (`evaluate`): a bare
+//! column is a gather through the batch, a [`BatchExpr`] runs
+//! column-at-a-time, and anything else is interpreted one `context::eval`
+//! per tuple.  Group keys become dense first-seen group ids — a bare
+//! column contributes its cached dictionary codes, any other key the
+//! first-seen codes of its values under `Value::group_key` — aggregates
+//! run as segmented accumulation over `Vec<AggState>`, and
+//! projection/ORDER BY/LIMIT work as typed gathers over a sort
+//! permutation.  The row-at-a-time finalize the oracle suites compare it
+//! against lives in the dev-only `tcudb-reference` crate.
 //!
 //! ## When the §3.3 GEMM aggregation path is selected
 //!
@@ -44,14 +48,13 @@ use crate::analyzer::{
     batch_expr, simple_column, vectorizable_atom, AnalyzedQuery, BatchExpr, FilterAtom,
 };
 use crate::batch::{GroupIds, TupleBatch};
-use crate::context::{compare, eval, eval_predicate, RowContext};
+use crate::context::{compare, eval, eval_predicate, truthy};
 use crate::translate::{EncodedSource, NO_INDEX};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
 use tcudb_sql::{AggFunc, BinOp, Expr, SelectStatement};
-use tcudb_storage::{chunk, Column, ColumnDef, DictColumn, Schema, Table};
+use tcudb_storage::{chunk, Column, ColumnDef, Schema, Table};
 use tcudb_tensor::{grouped, GemmPrecision, GemmStats};
 use tcudb_types::sync::QueryContext;
 use tcudb_types::value::ValueKey;
@@ -460,9 +463,9 @@ pub fn apply_filters_scan(
 }
 
 /// Evaluate one table's predicates over the row range `[start, end)`,
-/// reproducing the single-stream evaluation order exactly: atoms AND into
-/// a mask with typed kernels, surviving rows run the complex predicates
-/// through the interpreter in textual order.
+/// reproducing the single-stream evaluation order exactly: the mask starts
+/// all-true, atoms AND into it with typed kernels, and surviving rows run
+/// the complex predicates through the interpreter in textual order.
 fn scan_range(
     analyzed: &AnalyzedQuery,
     ti: usize,
@@ -472,43 +475,18 @@ fn scan_range(
     atoms: &[FilterAtom],
     complex: &[&Expr],
 ) -> TcuResult<Vec<usize>> {
-    let mut keep = Vec::new();
-    if atoms.is_empty() {
-        let mut ctx = analyzed.row_context();
-        'rows: for r in start..end {
-            ctx.set_row(ti, r);
-            for f in complex {
-                if !eval_predicate(f, &ctx)? {
-                    continue 'rows;
-                }
-            }
-            keep.push(r);
-        }
-        return Ok(keep);
-    }
     let mut mask = vec![true; end - start];
     for atom in atoms {
         apply_filter_atom_range(table, atom, start, &mut mask)?;
     }
-    if complex.is_empty() {
-        keep.extend(
-            mask.iter()
-                .enumerate()
-                .filter(|(_, ok)| **ok)
-                .map(|(i, _)| start + i),
-        );
-        return Ok(keep);
-    }
     let mut ctx = analyzed.row_context();
-    'masked: for (i, ok) in mask.iter().enumerate() {
-        if !*ok {
-            continue;
-        }
+    let mut keep = Vec::new();
+    'rows: for (i, _) in mask.iter().enumerate().filter(|(_, ok)| **ok) {
         let r = start + i;
         ctx.set_row(ti, r);
         for f in complex {
             if !eval_predicate(f, &ctx)? {
-                continue 'masked;
+                continue 'rows;
             }
         }
         keep.push(r);
@@ -730,9 +708,9 @@ fn apply_filter_atom_range(
     Ok(())
 }
 
-/// One accumulating aggregate state, shared by the row-at-a-time oracle
-/// and (as `Vec<AggState>` indexed by dense group id) the vectorized
-/// pipeline, so both fold values with identical SQL semantics:
+/// One accumulating aggregate state, behind both [`aggregate_values`] and
+/// (as `Vec<AggState>` indexed by dense group id) the output pipeline, so
+/// both fold values with identical SQL semantics:
 ///
 /// * NULL inputs are **skipped** by every aggregate (COUNT(col) does not
 ///   count them; SUM/AVG over zero non-NULL inputs yield NULL) — COUNT(*)
@@ -855,147 +833,12 @@ impl AggState {
     }
 }
 
-/// Materialise the final output table of a query from the joined row
-/// tuples (one row index per bound table, in table order), one `Value` at
-/// a time.
-///
-/// Handles residual predicates, projection, grouped and ungrouped
-/// aggregation, ORDER BY and LIMIT.  Production reaches it only for
-/// `GROUP BY` over a complex expression; everything else runs through
-/// [`finalize_output_columnar`].
-pub fn finalize_output(analyzed: &AnalyzedQuery, tuples: &[Vec<usize>]) -> TcuResult<Table> {
-    let mut ctx = analyzed.row_context();
-    let stmt = &analyzed.stmt;
-    let col_names: Vec<String> = stmt.items.iter().map(|i| i.output_name()).collect();
-
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-
-    if stmt.has_aggregates() || !stmt.group_by.is_empty() {
-        // Grouped (or global) aggregation.
-        #[allow(clippy::type_complexity)]
-        let mut groups: HashMap<Vec<ValueKey>, (Vec<Value>, Vec<AggState>)> = HashMap::new();
-        let mut group_order: Vec<Vec<ValueKey>> = Vec::new();
-
-        for tuple in tuples {
-            ctx.set_rows(tuple);
-            if !residuals_pass(analyzed, &ctx)? {
-                continue;
-            }
-            let mut key_vals = Vec::with_capacity(stmt.group_by.len());
-            let mut key = Vec::with_capacity(stmt.group_by.len());
-            for g in &stmt.group_by {
-                let v = eval(g, &ctx)?;
-                key.push(v.group_key());
-                key_vals.push(v);
-            }
-            let entry = groups.entry(key.clone()).or_insert_with(|| {
-                group_order.push(key.clone());
-                let states = stmt
-                    .items
-                    .iter()
-                    .map(|item| {
-                        item.expr
-                            .first_aggregate()
-                            .map(|(f, _)| AggState::new(*f))
-                            .unwrap_or_else(|| AggState::new(AggFunc::Count))
-                    })
-                    .collect();
-                (key_vals.clone(), states)
-            });
-            for (item, state) in stmt.items.iter().zip(entry.1.iter_mut()) {
-                if let Some((func, arg)) = item.expr.first_aggregate() {
-                    let v = match (func, arg) {
-                        // COUNT(*) counts rows regardless of the argument.
-                        (AggFunc::Count, Expr::Literal(_)) => Value::Int(1),
-                        _ => eval(arg, &ctx)?,
-                    };
-                    state.update(&v);
-                }
-            }
-        }
-
-        // Global aggregation over zero groups still yields one row.
-        if stmt.group_by.is_empty() && groups.is_empty() {
-            let states: Vec<AggState> = stmt
-                .items
-                .iter()
-                .map(|item| {
-                    item.expr
-                        .first_aggregate()
-                        .map(|(f, _)| AggState::new(*f))
-                        .unwrap_or_else(|| AggState::new(AggFunc::Count))
-                })
-                .collect();
-            groups.insert(Vec::new(), (Vec::new(), states));
-            group_order.push(Vec::new());
-        }
-
-        for key in &group_order {
-            let (key_vals, states) = &groups[key];
-            let mut row = Vec::with_capacity(stmt.items.len());
-            for (idx, item) in stmt.items.iter().enumerate() {
-                if item.expr.contains_aggregate() {
-                    row.push(finish_aggregate_item(&item.expr, &states[idx])?);
-                } else {
-                    // Non-aggregate item must be a group key: find it.
-                    let pos = stmt
-                        .group_by
-                        .iter()
-                        .position(|g| g == &item.expr)
-                        .ok_or_else(|| {
-                            TcuError::Analysis(format!(
-                                "non-aggregate SELECT item '{}' is not in GROUP BY",
-                                item.expr
-                            ))
-                        })?;
-                    row.push(key_vals[pos].clone());
-                }
-            }
-            rows.push(row);
-        }
-    } else {
-        // Plain projection.
-        for tuple in tuples {
-            ctx.set_rows(tuple);
-            if !residuals_pass(analyzed, &ctx)? {
-                continue;
-            }
-            let mut row = Vec::with_capacity(stmt.items.len());
-            for item in &stmt.items {
-                row.push(eval(&item.expr, &ctx)?);
-            }
-            rows.push(row);
-        }
-    }
-
-    // ORDER BY against output columns, then LIMIT.
-    if !stmt.order_by.is_empty() {
-        let keys = order_key_indices(stmt, &col_names)?;
-        rows.sort_by(|a, b| {
-            for (idx, asc) in &keys {
-                let ord = a[*idx].sql_cmp(&b[*idx]);
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    if let Some(limit) = stmt.limit {
-        rows.truncate(limit);
-    }
-
-    table_from_rows("result", &col_names, rows)
-}
-
 /// Resolve the ORDER BY keys to `(output column index, ascending)` pairs:
 /// by output name first, falling back to matching the rendered expression
 /// of each SELECT item (e.g. `ORDER BY d_year` when the item has no
-/// alias).  Shared by the row-oriented and the columnar output paths so
-/// both resolve — and fail — identically.
-fn order_key_indices(
+/// alias).  The `tcudb-reference` finalize resolves its keys here too, so
+/// production and the oracle resolve — and fail — identically.
+pub fn order_key_indices(
     stmt: &SelectStatement,
     col_names: &[String],
 ) -> TcuResult<Vec<(usize, bool)>> {
@@ -1015,16 +858,6 @@ fn order_key_indices(
         keys.push((idx, ob.ascending));
     }
     Ok(keys)
-}
-
-/// Apply the residual (multi-table, non-join) predicates to the current row.
-fn residuals_pass(analyzed: &AnalyzedQuery, ctx: &RowContext) -> TcuResult<bool> {
-    for pred in &analyzed.residual {
-        if !eval_predicate(pred, ctx)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
 }
 
 /// When the SELECT item is an expression *around* an aggregate
@@ -1051,61 +884,44 @@ fn finish_aggregate_item(expr: &Expr, state: &AggState) -> TcuResult<Value> {
     substitute(expr, &state.finish())
 }
 
-/// Build a table from value rows, inferring each column's type.
+/// Build a table from value rows, inferring each column's type by the
+/// rules of `column_from_inferred`.
 pub fn table_from_rows(
     name: &str,
     col_names: &[String],
     rows: Vec<Vec<Value>>,
 ) -> TcuResult<Table> {
-    let ncols = col_names.len();
-    let mut types = vec![DataType::Int64; ncols];
-    for row in &rows {
-        for (c, v) in row.iter().enumerate() {
-            match v {
-                Value::Text(_) => types[c] = DataType::Text,
-                Value::Float(_) if types[c] == DataType::Int64 => types[c] = DataType::Float64,
-                _ => {}
-            }
+    let mut values: Vec<Vec<Value>> = vec![Vec::with_capacity(rows.len()); col_names.len()];
+    for row in rows {
+        for (col, v) in values.iter_mut().zip(row) {
+            col.push(v);
         }
     }
-    let schema = Schema::new(
-        col_names
-            .iter()
-            .zip(&types)
-            .map(|(n, t)| ColumnDef::new(n.clone(), *t))
-            .collect(),
-    );
-    let mut table = Table::new(name, schema);
-    for row in rows {
-        let coerced: Vec<Value> = row
-            .into_iter()
-            .zip(&types)
-            .map(|(v, t)| match (v, t) {
-                (Value::Int(x), DataType::Float64) => Value::Float(x as f64),
-                (Value::Null, DataType::Float64) => Value::Float(f64::NAN),
-                (Value::Null, DataType::Int64) => Value::Int(0),
-                (Value::Null, DataType::Text) => Value::Text(String::new()),
-                (v, _) => v,
-            })
-            .collect();
-        table.push_row(coerced)?;
-    }
-    Ok(table)
+    let columns = values
+        .into_iter()
+        .map(column_from_inferred)
+        .collect::<TcuResult<Vec<Column>>>()?;
+    let defs = col_names
+        .iter()
+        .zip(&columns)
+        .map(|(n, c)| ColumnDef::new(n.clone(), c.data_type()))
+        .collect();
+    Table::from_columns(name, Schema::new(defs), columns)
 }
 
 // ---------------------------------------------------------------------
-// Vectorized, late-materialized output pipeline:
-//   TupleBatch → residual mask → dense group ids → segmented /
+// Vectorized, late-materialized output pipeline — the only finalize:
+//   TupleBatch → residual selection → dense group ids → segmented /
 //   one-hot-GEMM aggregation → typed gather.
 //
-// The row-at-a-time [`finalize_output`] above is its fallback for complex
-// GROUP BY expressions and what the `tcudb-reference` oracle evaluates;
-// the `encoded_oracle` proptests hold the two bit-identical.  Like the
-// filter atoms, the one observable difference is *error ordering*: the
-// columnar pipeline evaluates each output expression over all tuples
-// before moving to the next, so when two expressions would both fail,
-// the error may come from a different (expression, row) pair than the
-// tuple-order interpreter's.
+// The `encoded_oracle` proptests hold it equal to the `tcudb-reference`
+// crate's row-at-a-time finalize.  Like the filter atoms, the one
+// observable difference is *error ordering*: the pipeline evaluates each
+// group key, aggregate argument and projection item over all tuples before
+// moving to the next, so when two expressions would both fail, the error
+// may come from a different (expression, row) pair than the tuple-order
+// interpreter's.  Residual predicates keep the interpreter's short
+// circuit: each runs only on the survivors of the ones before it.
 // ---------------------------------------------------------------------
 
 /// Tunables of the columnar output pipeline.
@@ -1176,16 +992,16 @@ pub struct FinalizeReport {
     /// Kernel statistics of each aggregate reduced on the tensor engine
     /// (empty when every aggregate ran as segmented accumulation).
     pub gemm: Vec<GemmStats>,
-    /// Which pipeline ran: `"projection"`, `"grouped"`, `"grouped-gemm"`
-    /// or `"value-fallback"`.
+    /// Which pipeline ran: `"projection"`, `"grouped"` or
+    /// `"grouped-gemm"`.
     pub path: &'static str,
 }
 
-/// Columnar counterpart of [`finalize_output`]: materialise the output
-/// table of a query from a late-materialized [`TupleBatch`] with
-/// column-at-a-time kernels — dictionary-code group ids, segmented (or
-/// §3.3 one-hot GEMM) aggregation, sort-permutation ORDER BY and typed
-/// column gathers, with zero per-cell `Value` traffic on the hot paths.
+/// Materialise the output table of a query from a late-materialized
+/// [`TupleBatch`] with column-at-a-time kernels — residual selection,
+/// dense group ids, segmented (or §3.3 one-hot GEMM) aggregation,
+/// sort-permutation ORDER BY and typed column gathers, with zero per-cell
+/// `Value` traffic on the hot paths.
 pub fn finalize_output_columnar(
     analyzed: &AnalyzedQuery,
     batch: &TupleBatch,
@@ -1196,51 +1012,25 @@ pub fn finalize_output_columnar(
         ..FinalizeReport::default()
     };
 
-    // Complex group-key expressions: the row-at-a-time oracle is the only
-    // evaluator with the right semantics.  Decided before the residual
-    // pass, since `finalize_output` applies residuals itself.
-    let stmt = &analyzed.stmt;
-    let grouped = stmt.has_aggregates() || !stmt.group_by.is_empty();
-    if grouped {
-        let ctx = analyzed.row_context();
-        if !stmt
-            .group_by
-            .iter()
-            .all(|g| simple_column(g, &ctx).is_some())
-        {
-            let table = finalize_output(analyzed, &batch.to_tuples())?;
-            report.path = "value-fallback";
-            return Ok((table, report));
-        }
+    // Residual (multi-table, non-join) predicates in textual order, each
+    // over the survivors of the ones before it — the (predicate, tuple)
+    // pairs a short-circuiting per-tuple test evaluates, and no others.
+    let mut batch = Cow::Borrowed(batch);
+    for pred in &analyzed.residual {
+        let data = evaluate(pred, analyzed, &batch, &opts.ctx)?;
+        let keep: Vec<u32> = (0..batch.len())
+            .filter(|&i| truthy(&data.value(i)))
+            .map(|i| i as u32)
+            .collect();
+        batch = Cow::Owned(batch.select(&keep));
     }
-
-    // Residual (multi-table, non-join) predicates: interpreter per tuple,
-    // vectorized selection of the survivors.
-    let filtered: Cow<'_, TupleBatch> = if analyzed.residual.is_empty() {
-        Cow::Borrowed(batch)
-    } else {
-        let mut ctx = analyzed.row_context();
-        let mut buf = vec![0usize; batch.num_slots()];
-        let mut keep = Vec::new();
-        for i in 0..batch.len() {
-            if i % FINALIZE_CHECK_CHUNK == 0 {
-                opts.ctx.check()?;
-            }
-            batch.write_row(i, &mut buf);
-            ctx.set_rows(&buf);
-            if residuals_pass(analyzed, &ctx)? {
-                keep.push(i as u32);
-            }
-        }
-        Cow::Owned(batch.select(&keep))
-    };
-    let batch = filtered.as_ref();
     report.agg_rows = batch.len();
 
-    if grouped {
-        finalize_grouped(analyzed, batch, opts, report)
+    let stmt = &analyzed.stmt;
+    if stmt.has_aggregates() || !stmt.group_by.is_empty() {
+        finalize_grouped(analyzed, &batch, opts, report)
     } else {
-        finalize_projection(analyzed, batch, &opts.ctx, report)
+        finalize_projection(analyzed, &batch, &opts.ctx, report)
     }
 }
 
@@ -1255,24 +1045,36 @@ fn finalize_grouped(
     let ctx = analyzed.row_context();
     let col_names: Vec<String> = stmt.items.iter().map(|i| i.output_name()).collect();
 
-    // ---- Group keys: gather cached dictionary codes per tuple, compose
-    // them into dense first-seen group ids (array lookups; hashing at
-    // most once per distinct combination).
-    let mut key_codes: Vec<(Arc<DictColumn>, Vec<u32>)> = Vec::with_capacity(stmt.group_by.len());
-    for g in &stmt.group_by {
-        let (ti, ci) = simple_column(g, &ctx)
-            .expect("finalize_output_columnar pre-checked group keys as simple columns");
-        let dict = analyzed.tables[ti].table.encoded_column(ci);
-        let codes: Vec<u32> = batch
-            .col(ti)
-            .iter()
-            .map(|&r| dict.codes()[r as usize])
-            .collect();
-        key_codes.push((dict, codes));
-    }
+    // ---- Group keys → dense first-seen group ids.  A bare column
+    // contributes its cached dictionary codes; any other key is evaluated
+    // once over the batch and coded by first appearance of its
+    // `Value::group_key` (the dictionaries' normalisation), so
+    // `GroupIds::compose` treats the two alike.  `keys[k](i)` reads key
+    // `k` of tuple `i` back for the output rows.
     let mut gids = GroupIds::new(batch.len());
-    for (dict, codes) in &key_codes {
-        gids.compose(codes, dict.dict_len());
+    let mut keys: Vec<Box<dyn Fn(usize) -> Value + '_>> = Vec::with_capacity(stmt.group_by.len());
+    for g in &stmt.group_by {
+        if let Some((ti, ci)) = simple_column(g, &ctx) {
+            let dict = analyzed.tables[ti].table.encoded_column(ci);
+            let codes: Vec<u32> = batch
+                .col(ti)
+                .iter()
+                .map(|&r| dict.codes()[r as usize])
+                .collect();
+            gids.compose(&codes, dict.dict_len());
+            keys.push(Box::new(move |i| dict.value(codes[i]).clone()));
+        } else {
+            let data = evaluate(g, analyzed, batch, &opts.ctx)?;
+            let mut seen: HashMap<ValueKey, u32> = HashMap::new();
+            let codes: Vec<u32> = (0..batch.len())
+                .map(|i| {
+                    let next = seen.len() as u32;
+                    *seen.entry(data.value(i).group_key()).or_insert(next)
+                })
+                .collect();
+            gids.compose(&codes, seen.len());
+            keys.push(Box::new(move |i| data.value(i)));
+        }
     }
     let groups = gids.groups();
     report.groups = groups;
@@ -1300,17 +1102,11 @@ fn finalize_grouped(
         }
     }
 
-    // ---- Per-group key values: the representative (first-seen) tuple's
-    // dictionary values.
+    // ---- Per-group key values: the representative (first-seen) tuple's.
     let key_values: Vec<Vec<Value>> = gids
         .representatives()
         .iter()
-        .map(|&rep| {
-            key_codes
-                .iter()
-                .map(|(dict, codes)| dict.value(codes[rep as usize]).clone())
-                .collect()
-        })
+        .map(|&rep| keys.iter().map(|key| key(rep as usize)).collect())
         .collect();
 
     // ---- Output rows, one per group in first-seen (= dense id) order.
@@ -1392,28 +1188,11 @@ fn reduce_aggregate(
     let groups = gids.groups();
     let mut states = vec![AggState::new(func); groups];
 
-    // COUNT(*) counts tuples regardless of the (literal) argument.
-    if func == AggFunc::Count && matches!(arg, Expr::Literal(_)) {
-        if gemm_reduce_feasible(&[], batch.len(), groups, opts) {
-            let ones = vec![1.0f32; batch.len()];
-            let (sums, stats) = grouped::grouped_sum_gemm(&ones, ids, groups, GemmPrecision::Fp32)?;
-            for (state, s) in states.iter_mut().zip(&sums) {
-                state.count = *s as u64;
-            }
-            report.gemm.push(stats);
-            report.path = "grouped-gemm";
-        } else {
-            for &g in ids {
-                states[g as usize].count += 1;
-            }
-        }
-        return Ok(states);
-    }
-
     let ctx = analyzed.row_context();
 
-    // Typed MIN/MAX fast paths over plain columns (the input type — and
-    // for text, the dictionary's sorted order — decides the winner).
+    // Typed MIN/MAX fast paths over integer and text columns (the input
+    // type — and for text, the dictionary's sorted order — decides the
+    // winner).
     if matches!(func, AggFunc::Min | AggFunc::Max) {
         if let Some((ti, ci)) = simple_column(arg, &ctx) {
             let rows = batch.col(ti);
@@ -1462,79 +1241,70 @@ fn reduce_aggregate(
                     }
                     return Ok(states);
                 }
-                Column::Float64(v) => {
-                    for (i, &g) in ids.iter().enumerate() {
-                        states[g as usize].update_f64(v[rows[i] as usize]);
-                    }
-                    return Ok(states);
-                }
+                // Folds below, like any numeric argument.
+                Column::Float64(_) => {}
             }
         }
     }
 
-    // Numeric argument expression → one flat f64 vector over the batch.
-    if let Some(be) = batch_expr(arg, &ctx) {
-        if func == AggFunc::Count {
-            // COUNT(col): a non-NULL numeric argument contributes only its
-            // presence — evaluate it solely for error parity with the
-            // interpreter (division by zero), skipped when the expression
-            // cannot fail, and reduce as an all-ones count.
-            if batch_expr_can_fail(&be) {
-                eval_batch_expr(&be, analyzed, batch)?;
-            }
-            if gemm_reduce_feasible(&[], batch.len(), groups, opts) {
-                let ones = vec![1.0f32; batch.len()];
-                let (sums, stats) =
-                    grouped::grouped_sum_gemm(&ones, ids, groups, GemmPrecision::Fp32)?;
-                for (state, s) in states.iter_mut().zip(&sums) {
-                    state.count = *s as u64;
+    // COUNT(*), and COUNT of a numeric argument that cannot fail, count
+    // tuples without evaluating anything.  Every other argument goes
+    // through the evaluator; non-numeric values (text, comparisons,
+    // BETWEEN …) fold with full SQL NULL-skipping semantics.
+    let counts_tuples = func == AggFunc::Count
+        && (matches!(arg, Expr::Literal(_))
+            || batch_expr(arg, &ctx).is_some_and(|be| !batch_expr_can_fail(&be)));
+    let vals = if counts_tuples {
+        Vec::new()
+    } else {
+        match evaluate(arg, analyzed, batch, &opts.ctx)?.into_f64() {
+            Ok(vals) => vals,
+            Err(data) => {
+                for (i, &g) in ids.iter().enumerate() {
+                    states[g as usize].update(&data.value(i));
                 }
-                report.gemm.push(stats);
-                report.path = "grouped-gemm";
-            } else {
-                for &g in ids {
-                    states[g as usize].count += 1;
-                }
+                return Ok(states);
             }
-            return Ok(states);
         }
-        let vals = eval_batch_expr(&be, analyzed, batch)?;
-        if matches!(func, AggFunc::Sum | AggFunc::Avg)
-            && gemm_reduce_feasible(&vals, batch.len(), groups, opts)
-        {
-            // §3.3: the per-group sums as one value-vector × one-hot GEMM
-            // on the tensor engine.  The feasibility test guarantees f32
-            // accumulation is exact, so the result is bit-identical to the
-            // segmented f64 form.
-            let vals32: Vec<f32> = vals.iter().map(|&v| v as f32).collect();
-            let (sums, stats) =
-                grouped::grouped_sum_gemm(&vals32, ids, groups, GemmPrecision::Fp32)?;
+    };
+
+    if func == AggFunc::Count {
+        // A numeric argument is never NULL: each tuple counts once (it was
+        // evaluated above only for error parity, e.g. division by zero).
+        if gemm_reduce_feasible(&[], batch.len(), groups, opts) {
+            let ones = vec![1.0f32; batch.len()];
+            let (sums, stats) = grouped::grouped_sum_gemm(&ones, ids, groups, GemmPrecision::Fp32)?;
             for (state, s) in states.iter_mut().zip(&sums) {
-                state.sum = *s as f64;
-            }
-            for &g in ids {
-                states[g as usize].count += 1;
+                state.count = *s as u64;
             }
             report.gemm.push(stats);
             report.path = "grouped-gemm";
         } else {
-            for (i, &v) in vals.iter().enumerate() {
-                states[ids[i] as usize].update_f64(v);
+            for &g in ids {
+                states[g as usize].count += 1;
             }
         }
-        return Ok(states);
-    }
-
-    // Interpreter fallback: evaluate the argument row by row (text
-    // arguments, BETWEEN, comparisons …) and fold with full SQL
-    // NULL-skipping semantics.
-    let mut ctx = analyzed.row_context();
-    let mut buf = vec![0usize; batch.num_slots()];
-    for (i, &g) in ids.iter().enumerate() {
-        batch.write_row(i, &mut buf);
-        ctx.set_rows(&buf);
-        let v = eval(arg, &ctx)?;
-        states[g as usize].update(&v);
+    } else if matches!(func, AggFunc::Sum | AggFunc::Avg)
+        && gemm_reduce_feasible(&vals, batch.len(), groups, opts)
+    {
+        // §3.3: the per-group sums as one value-vector × one-hot GEMM on
+        // the tensor engine.  The feasibility test guarantees f32
+        // accumulation is exact, so the result is bit-identical to the
+        // segmented f64 form.
+        let vals32: Vec<f32> = vals.iter().map(|&v| v as f32).collect();
+        let (sums, stats) = grouped::grouped_sum_gemm(&vals32, ids, groups, GemmPrecision::Fp32)?;
+        for (state, s) in states.iter_mut().zip(&sums) {
+            state.sum = *s as f64;
+        }
+        for &g in ids {
+            states[g as usize].count += 1;
+        }
+        report.gemm.push(stats);
+        report.path = "grouped-gemm";
+    } else {
+        for (i, &v) in vals.iter().enumerate() {
+            states[ids[i] as usize].update_f64(v);
+        }
     }
     Ok(states)
 }
@@ -1590,15 +1360,14 @@ fn eval_batch_expr(
 ) -> TcuResult<Vec<f64>> {
     match expr {
         BatchExpr::Column(ti, ci) => {
-            let rows = batch.col(*ti);
-            match analyzed.tables[*ti].table.column(*ci) {
-                Column::Int64(v) => Ok(rows.iter().map(|&r| v[r as usize] as f64).collect()),
-                Column::Float64(v) => Ok(rows.iter().map(|&r| v[r as usize]).collect()),
-                Column::Text(_) => Err(TcuError::Execution(
-                    "batch expression misclassified (text column); analyzer and kernels disagree"
-                        .into(),
-                )),
-            }
+            ItemData::Gather(analyzed.tables[*ti].table.column(*ci), batch.col(*ti))
+                .into_f64()
+                .map_err(|_| {
+                    TcuError::Execution(
+                "batch expression misclassified (text column); analyzer and kernels disagree"
+                    .into(),
+            )
+                })
         }
         BatchExpr::Literal(x) => Ok(vec![*x; batch.len()]),
         BatchExpr::Binary { left, op, right } => {
@@ -1628,18 +1397,78 @@ fn eval_batch_expr(
     }
 }
 
-/// Per-item data of the vectorized projection path.
+/// One expression's values over every tuple of a batch: what `evaluate`
+/// returns.
 enum ItemData<'a> {
     /// A plain base-table column gathered through the batch: the column
     /// and the batch's row-index column for its table.
     Gather(&'a Column, &'a [u32]),
     /// A numeric expression evaluated column-at-a-time (always `Float`).
     F64(Vec<f64>),
-    /// Interpreter fallback, one `Value` per tuple.
+    /// Interpreted, one `Value` per tuple.
     Values(Vec<Value>),
 }
 
-impl ItemData<'_> {
+/// The one evaluator of per-tuple expressions in the output pipeline:
+/// residual predicates, group keys, aggregate arguments and projection
+/// items all go through it.  A bare column is a gather through the batch,
+/// a [`BatchExpr`] runs column-at-a-time, and anything else is interpreted
+/// one `context::eval` per tuple, probing `qctx` every
+/// `FINALIZE_CHECK_CHUNK` tuples.
+fn evaluate<'a>(
+    expr: &Expr,
+    analyzed: &'a AnalyzedQuery,
+    batch: &'a TupleBatch,
+    qctx: &QueryContext,
+) -> TcuResult<ItemData<'a>> {
+    let mut ctx = analyzed.row_context();
+    if let Some((ti, ci)) = simple_column(expr, &ctx) {
+        return Ok(ItemData::Gather(
+            analyzed.tables[ti].table.column(ci),
+            batch.col(ti),
+        ));
+    }
+    if let Some(be) = batch_expr(expr, &ctx) {
+        return eval_batch_expr(&be, analyzed, batch).map(ItemData::F64);
+    }
+    let mut buf = vec![0usize; batch.num_slots()];
+    let mut vals = Vec::with_capacity(batch.len());
+    for i in 0..batch.len() {
+        if i % FINALIZE_CHECK_CHUNK == 0 {
+            qctx.check()?;
+        }
+        batch.write_row(i, &mut buf);
+        ctx.set_rows(&buf);
+        vals.push(eval(expr, &ctx)?);
+    }
+    Ok(ItemData::Values(vals))
+}
+
+impl<'a> ItemData<'a> {
+    /// Tuple `i`'s value, exactly as `context::eval` returns it.
+    fn value(&self, i: usize) -> Value {
+        match self {
+            ItemData::Gather(col, rows) => col.value(rows[i] as usize),
+            ItemData::F64(v) => Value::Float(v[i]),
+            ItemData::Values(v) => v[i].clone(),
+        }
+    }
+
+    /// The values as one flat f64 vector when they are numeric (a numeric
+    /// column or a batch expression); the data back otherwise.
+    fn into_f64(self) -> Result<Vec<f64>, ItemData<'a>> {
+        match self {
+            ItemData::Gather(Column::Int64(v), rows) => {
+                Ok(rows.iter().map(|&r| v[r as usize] as f64).collect())
+            }
+            ItemData::Gather(Column::Float64(v), rows) => {
+                Ok(rows.iter().map(|&r| v[r as usize]).collect())
+            }
+            ItemData::F64(v) => Ok(v),
+            other => Err(other),
+        }
+    }
+
     /// Compare the item's values of tuples `a` and `b` with `sql_cmp`
     /// semantics (each variant holds a single value type, so the typed
     /// comparisons below are exactly what `sql_cmp` would do).
@@ -1670,33 +1499,15 @@ fn finalize_projection(
     mut report: FinalizeReport,
 ) -> TcuResult<(Table, FinalizeReport)> {
     let stmt = &analyzed.stmt;
-    let ctx = analyzed.row_context();
     let col_names: Vec<String> = stmt.items.iter().map(|i| i.output_name()).collect();
     report.path = "projection";
 
-    // Classify and evaluate each SELECT item over the whole batch: one
-    // cancellation probe per item (each evaluates over the full batch).
+    // Evaluate each SELECT item over the whole batch, with one
+    // cancellation probe per item.
     let mut items: Vec<ItemData<'_>> = Vec::with_capacity(stmt.items.len());
     for item in &stmt.items {
         qctx.check()?;
-        if let Some((ti, ci)) = simple_column(&item.expr, &ctx) {
-            items.push(ItemData::Gather(
-                analyzed.tables[ti].table.column(ci),
-                batch.col(ti),
-            ));
-        } else if let Some(be) = batch_expr(&item.expr, &ctx) {
-            items.push(ItemData::F64(eval_batch_expr(&be, analyzed, batch)?));
-        } else {
-            let mut row_ctx = analyzed.row_context();
-            let mut buf = vec![0usize; batch.num_slots()];
-            let mut vals = Vec::with_capacity(batch.len());
-            for i in 0..batch.len() {
-                batch.write_row(i, &mut buf);
-                row_ctx.set_rows(&buf);
-                vals.push(eval(&item.expr, &row_ctx)?);
-            }
-            items.push(ItemData::Values(vals));
-        }
+        items.push(evaluate(&item.expr, analyzed, batch, qctx)?);
     }
 
     // ORDER BY as a sort permutation over tuple positions; under LIMIT a
@@ -1733,8 +1544,7 @@ fn finalize_projection(
         perm.truncate(limit);
     }
 
-    // Zero output rows: defer to the shared row builder so the inferred
-    // schema (all-INT64) matches the `Value` path exactly.
+    // Zero output rows: the row builder's inferred schema (all-INT64).
     if perm.is_empty() {
         let table = table_from_rows("result", &col_names, Vec::new())?;
         return Ok((table, report));
@@ -1767,10 +1577,10 @@ fn finalize_projection(
 /// Fold a sequence of values with one aggregate's full SQL semantics —
 /// NULL inputs are skipped (COUNT(col) does not count them; SUM/AVG over
 /// zero non-NULL inputs yield NULL), MIN/MAX preserve the input value's
-/// type and compare via `sql_cmp`.  This is the scalar oracle both the
-/// row-at-a-time and the segmented/GEMM pipelines reduce to; exposed so
-/// the oracle test-suite can drive it with NULL densities the SQL surface
-/// (whose base columns are never NULL) cannot express.
+/// type and compare via `sql_cmp`.  The `tcudb-reference` finalize folds
+/// its groups with it, and the oracle test-suite drives it with NULL
+/// densities the SQL surface (whose base columns are never NULL) cannot
+/// express.
 pub fn aggregate_values(func: AggFunc, values: &[Value]) -> Value {
     let mut state = AggState::new(func);
     for v in values {
@@ -1779,9 +1589,9 @@ pub fn aggregate_values(func: AggFunc, values: &[Value]) -> Value {
     state.finish()
 }
 
-/// Build one column from `Value`s with exactly the type-inference and
-/// NULL-coercion rules of [`table_from_rows`], applied to a single
-/// column.
+/// Build one column from `Value`s, inferring its type: TEXT if any value
+/// is text, else FLOAT64 if any is a float, else INT64.  NULLs become NaN,
+/// 0 or the empty string.
 fn column_from_inferred(values: Vec<Value>) -> TcuResult<Column> {
     let mut ty = DataType::Int64;
     for v in &values {
@@ -1810,7 +1620,7 @@ mod tests {
     use super::*;
     use crate::analyzer::analyze;
     use tcudb_sql::parse;
-    use tcudb_storage::Catalog;
+    use tcudb_storage::{Catalog, DictColumn};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -1916,123 +1726,177 @@ mod tests {
         assert_eq!(surviving[1], vec![1]);
     }
 
+    /// The tuples `A.id = B.id` joins in [`catalog`]: A rows {0,1} join
+    /// B row 0; A row 2 joins B rows 1 and 2.
+    fn joined() -> Vec<Vec<usize>> {
+        vec![vec![0, 0], vec![1, 0], vec![2, 1], vec![2, 2]]
+    }
+
+    fn int(x: i64) -> Value {
+        Value::Int(x)
+    }
+
+    fn flt(x: f64) -> Value {
+        Value::Float(x)
+    }
+
+    fn rows(t: &Table) -> Vec<Vec<Value>> {
+        (0..t.num_rows()).map(|i| t.row(i)).collect()
+    }
+
+    /// Finalize `tuples` under both `FinalizeOptions` — segmented and §3.3
+    /// GEMM aggregation — assert the two tables agree cell for cell, and
+    /// return the table with the GEMM-enabled run's path.
+    fn finalize(sql: &str, cat: &Catalog, tuples: &[Vec<usize>]) -> (Table, &'static str) {
+        let q = analyze(&parse(sql).unwrap(), cat).unwrap();
+        let batch = TupleBatch::from_tuples(tuples, q.tables.len()).unwrap();
+        let run = |opts: FinalizeOptions| finalize_output_columnar(&q, &batch, &opts).unwrap();
+        let (seg, _) = run(FinalizeOptions::baseline());
+        let (gemm, report) = run(FinalizeOptions::tensor(1 << 24));
+        assert_eq!(seg.schema(), gemm.schema(), "{sql}");
+        // Debug form, so a NaN cell equals itself.
+        assert_eq!(
+            format!("{:?}", rows(&seg)),
+            format!("{:?}", rows(&gemm)),
+            "{sql}"
+        );
+        (seg, report.path)
+    }
+
     #[test]
     fn finalize_projection_and_order() {
-        let cat = catalog();
-        let q = analyze(
-            &parse("SELECT A.val, B.val FROM A, B WHERE A.id = B.id ORDER BY A.val DESC").unwrap(),
-            &cat,
-        )
-        .unwrap();
-        // Matching tuples computed by hand: A rows {0,1} join B row 0; A row 2 joins B rows 1,2.
-        let tuples = vec![vec![0, 0], vec![1, 0], vec![2, 1], vec![2, 2]];
-        let out = finalize_output(&q, &tuples).unwrap();
-        assert_eq!(out.num_rows(), 4);
-        assert_eq!(out.row(0)[0], Value::Int(20));
+        let sql = "SELECT A.val, B.val FROM A, B WHERE A.id = B.id ORDER BY A.val DESC";
+        let (out, path) = finalize(sql, &catalog(), &joined());
+        assert_eq!(path, "projection");
         assert_eq!(out.schema().names(), vec!["val", "val"]);
+        assert_eq!(
+            rows(&out),
+            vec![
+                vec![int(20), int(6)],
+                vec![int(20), int(7)],
+                vec![int(11), int(5)],
+                vec![int(10), int(5)],
+            ]
+        );
+        // LIMIT keeps the stable sort's prefix; arithmetic items are FLOAT.
+        let (out, _) = finalize(
+            "SELECT A.val + B.val, B.val FROM A, B WHERE A.id = B.id ORDER BY B.val LIMIT 3",
+            &catalog(),
+            &joined(),
+        );
+        assert_eq!(
+            rows(&out),
+            vec![
+                vec![flt(15.0), int(5)],
+                vec![flt(16.0), int(5)],
+                vec![flt(26.0), int(6)],
+            ]
+        );
+        // No tuples: no rows, and the all-INT64 schema of zero rows.
+        let (empty, _) = finalize(sql, &catalog(), &[]);
+        assert_eq!(empty.num_rows(), 0);
+        assert_eq!(empty.schema().column(0).data_type, DataType::Int64);
     }
 
     #[test]
     fn finalize_group_by_aggregate() {
-        let cat = catalog();
-        let q = analyze(
-            &parse("SELECT SUM(A.val), B.val FROM A, B WHERE A.id = B.id GROUP BY B.val").unwrap(),
-            &cat,
-        )
-        .unwrap();
-        let tuples = vec![vec![0, 0], vec![1, 0], vec![2, 1], vec![2, 2]];
-        let out = finalize_output(&q, &tuples).unwrap();
-        assert_eq!(out.num_rows(), 3);
-        // Group B.val=5 sums A.val 10+11=21.
-        let sums = out.column_by_name("SUM(A.val)");
-        assert!(sums.is_ok() || out.num_columns() == 2);
-        assert_eq!(out.row(0)[0].as_f64().unwrap(), 21.0);
-        assert_eq!(out.row(0)[1], Value::Int(5));
+        let sql = "SELECT SUM(A.val), B.val FROM A, B WHERE A.id = B.id GROUP BY B.val";
+        let (out, path) = finalize(sql, &catalog(), &joined());
+        assert_eq!(path, "grouped-gemm");
+        // Groups in first-seen order; B.val = 5 sums 10 + 11.
+        assert_eq!(
+            rows(&out),
+            vec![
+                vec![flt(21.0), int(5)],
+                vec![flt(20.0), int(6)],
+                vec![flt(20.0), int(7)],
+            ]
+        );
+        let (out, _) = finalize(
+            "SELECT COUNT(B.val), B.id FROM A, B WHERE A.id = B.id GROUP BY B.id ORDER BY B.id LIMIT 2",
+            &catalog(),
+            &joined(),
+        );
+        assert_eq!(rows(&out), vec![vec![int(2), int(1)], vec![int(2), int(2)]]);
+        assert_eq!(finalize(sql, &catalog(), &[]).0.num_rows(), 0);
+    }
+
+    #[test]
+    fn finalize_group_by_complex_keys() {
+        // An arithmetic key is evaluated, coded by first appearance and
+        // aggregated like a column key — through the GEMM when admitted.
+        let (out, path) = finalize(
+            "SELECT A.id + B.id, SUM(A.val) FROM A, B WHERE A.id = B.id GROUP BY A.id + B.id",
+            &catalog(),
+            &joined(),
+        );
+        assert_eq!(path, "grouped-gemm");
+        assert_eq!(
+            rows(&out),
+            vec![vec![flt(2.0), flt(21.0)], vec![flt(4.0), flt(40.0)]]
+        );
+        // A comparison key groups by its truth value, beside a column key.
+        let (out, _) = finalize(
+            "SELECT A.val > 10, B.id, COUNT(*) FROM A, B WHERE A.id = B.id GROUP BY A.val > 10, B.id",
+            &catalog(),
+            &joined(),
+        );
+        assert_eq!(
+            rows(&out),
+            vec![
+                vec![int(0), int(1), int(1)],
+                vec![int(1), int(1), int(1)],
+                vec![int(1), int(2), int(2)],
+            ]
+        );
     }
 
     #[test]
     fn finalize_global_aggregate_and_count() {
-        let cat = catalog();
-        let q = analyze(
-            &parse("SELECT SUM(A.val * B.val), COUNT(*) FROM A, B WHERE A.id = B.id").unwrap(),
-            &cat,
-        )
-        .unwrap();
-        let tuples = vec![vec![0, 0], vec![1, 0], vec![2, 1], vec![2, 2]];
-        let out = finalize_output(&q, &tuples).unwrap();
-        assert_eq!(out.num_rows(), 1);
+        let sql = "SELECT SUM(A.val * B.val), COUNT(*) FROM A, B WHERE A.id = B.id";
+        let (out, _) = finalize(sql, &catalog(), &joined());
         // 10*5 + 11*5 + 20*6 + 20*7 = 50+55+120+140 = 365
-        assert_eq!(out.row(0)[0].as_f64().unwrap(), 365.0);
-        assert_eq!(out.row(0)[1], Value::Int(4));
-        // Zero tuples still produce one aggregate row.
-        let empty = finalize_output(&q, &[]).unwrap();
-        assert_eq!(empty.num_rows(), 1);
-        assert_eq!(empty.row(0)[1], Value::Int(0));
+        assert_eq!(rows(&out), vec![vec![flt(365.0), int(4)]]);
+        // Zero tuples still produce one row; the NULL SUM is the only
+        // value of its column, which therefore stays INT64 and stores 0.
+        let (empty, _) = finalize(sql, &catalog(), &[]);
+        assert_eq!(rows(&empty), vec![vec![int(0), int(0)]]);
     }
 
     #[test]
     fn finalize_avg_min_max() {
-        let cat = catalog();
-        let q = analyze(
-            &parse("SELECT AVG(A.val), MIN(A.val), MAX(A.val) FROM A, B WHERE A.id = B.id")
-                .unwrap(),
-            &cat,
-        )
-        .unwrap();
-        let tuples = vec![vec![0, 0], vec![2, 1]];
-        let out = finalize_output(&q, &tuples).unwrap();
-        assert_eq!(out.row(0)[0].as_f64().unwrap(), 15.0);
-        assert_eq!(out.row(0)[1].as_f64().unwrap(), 10.0);
-        assert_eq!(out.row(0)[2].as_f64().unwrap(), 20.0);
+        let sql = "SELECT AVG(A.val), MIN(A.val), MAX(A.val) FROM A, B WHERE A.id = B.id";
+        let (out, _) = finalize(sql, &catalog(), &[vec![0, 0], vec![2, 1]]);
+        assert_eq!(rows(&out), vec![vec![flt(15.0), int(10), int(20)]]);
+        // Over no tuples every aggregate is NULL, stored as INT64 0.
+        let (empty, _) = finalize(sql, &catalog(), &[]);
+        assert_eq!(rows(&empty), vec![vec![int(0), int(0), int(0)]]);
     }
 
     #[test]
     fn limit_and_residuals() {
-        let cat = catalog();
-        let q = analyze(
-            &parse(
-                "SELECT A.val, B.val FROM A, B WHERE A.id = B.id AND A.val + B.val > 20 LIMIT 1",
-            )
-            .unwrap(),
-            &cat,
-        )
-        .unwrap();
-        let tuples = vec![vec![0, 0], vec![1, 0], vec![2, 1], vec![2, 2]];
-        let out = finalize_output(&q, &tuples).unwrap();
-        assert_eq!(out.num_rows(), 1);
-    }
-
-    /// Run both finalize paths over the same tuples and assert equality.
-    fn both_paths(sql: &str, cat: &Catalog, tuples: &[Vec<usize>]) -> Table {
-        let q = analyze(&parse(sql).unwrap(), cat).unwrap();
-        let oracle = finalize_output(&q, tuples).unwrap();
-        let batch = TupleBatch::from_tuples(tuples, q.tables.len()).unwrap();
-        for opts in [
-            FinalizeOptions::baseline(),
-            FinalizeOptions::tensor(1 << 24),
-        ] {
-            let (got, report) = finalize_output_columnar(&q, &batch, &opts).unwrap();
-            assert_eq!(got, oracle, "{sql} ({})", report.path);
-        }
-        oracle
-    }
-
-    #[test]
-    fn columnar_finalize_matches_oracle_on_fixtures() {
-        let cat = catalog();
-        let tuples = vec![vec![0, 0], vec![1, 0], vec![2, 1], vec![2, 2]];
-        for sql in [
-            "SELECT A.val, B.val FROM A, B WHERE A.id = B.id ORDER BY A.val DESC",
-            "SELECT SUM(A.val), B.val FROM A, B WHERE A.id = B.id GROUP BY B.val",
-            "SELECT SUM(A.val * B.val), COUNT(*) FROM A, B WHERE A.id = B.id",
-            "SELECT AVG(A.val), MIN(A.val), MAX(A.val) FROM A, B WHERE A.id = B.id",
+        let (out, _) = finalize(
             "SELECT A.val, B.val FROM A, B WHERE A.id = B.id AND A.val + B.val > 20 LIMIT 1",
-            "SELECT COUNT(B.val), B.id FROM A, B WHERE A.id = B.id GROUP BY B.id ORDER BY B.id LIMIT 2",
-            "SELECT A.val + B.val, B.val FROM A, B WHERE A.id = B.id ORDER BY B.val LIMIT 3",
-        ] {
-            both_paths(sql, &cat, &tuples);
-            both_paths(sql, &cat, &[]);
-        }
+            &catalog(),
+            &joined(),
+        );
+        assert_eq!(rows(&out), vec![vec![int(20), int(6)]]);
+        // Each residual runs only on the survivors of the ones before it:
+        // the division by zero at B.val = 5 is never evaluated when the
+        // first residual has rejected those tuples, and raised when not.
+        let guarded = "SELECT A.val, B.val FROM A, B WHERE A.id = B.id \
+                       AND A.val + B.val > 20 AND A.val / (B.val - 5) > 0";
+        let (out, _) = finalize(guarded, &catalog(), &joined());
+        assert_eq!(
+            rows(&out),
+            vec![vec![int(20), int(6)], vec![int(20), int(7)]]
+        );
+        let unguarded = "SELECT A.val, B.val FROM A, B WHERE A.id = B.id \
+                         AND A.val / (B.val - 5) > 0 AND A.val + B.val > 20";
+        let q = analyze(&parse(unguarded).unwrap(), &catalog()).unwrap();
+        let batch = TupleBatch::from_tuples(&joined(), 2).unwrap();
+        let err = finalize_output_columnar(&q, &batch, &FinalizeOptions::baseline());
+        assert!(matches!(err, Err(TcuError::Execution(_))));
     }
 
     #[test]
@@ -2096,7 +1960,7 @@ mod tests {
     }
 
     #[test]
-    fn min_max_over_text_column_through_both_paths() {
+    fn min_max_over_text_column_under_both_options() {
         let mut cat = Catalog::new();
         let schema = Schema::from_pairs(&[("id", DataType::Int64), ("tag", DataType::Text)]);
         cat.register(
@@ -2116,7 +1980,7 @@ mod tests {
             .unwrap(),
         );
         cat.register(Table::from_int_columns("U", &[("id", vec![1, 2])]).unwrap());
-        let out = both_paths(
+        let (out, _) = finalize(
             "SELECT MIN(T.tag), MAX(T.tag), U.id FROM T, U WHERE T.id = U.id GROUP BY U.id ORDER BY U.id",
             &cat,
             &[vec![0, 0], vec![1, 0], vec![2, 1], vec![3, 1]],

@@ -22,7 +22,7 @@ use tcudb_sql::AggFunc;
 use tcudb_sql::{parse, BinOp};
 use tcudb_storage::{Catalog, Column, ColumnDef, DictColumn, Schema, Table};
 use tcudb_types::sync::QueryContext;
-use tcudb_types::{DataType, Value};
+use tcudb_types::{DataType, TcuError, Value};
 
 /// Build a column of one of the three storage types from raw draws, with
 /// small value domains so joins and filters actually collide.
@@ -331,7 +331,7 @@ proptest! {
         a_rows in prop::collection::vec((0i64..12, 0i64..30), 0..40),
         b_rows in prop::collection::vec((0i64..12, 0i64..30, 0i64..4), 0..30),
         c_rows in prop::collection::vec((0i64..12, 0i64..30), 0..20),
-        query_idx in 0usize..17,
+        query_idx in 0usize..22,
     ) {
         let a = Table::from_columns(
             "A",
@@ -396,8 +396,17 @@ proptest! {
             // predicates between one pair of tables.
             "SELECT A.val, B.val, C.w FROM A, B, C WHERE A.id = B.id AND B.id = C.id AND A.val = C.w",
             "SELECT A.val, B.val FROM A, B WHERE A.id = B.id AND A.tag <> B.tag",
-            // GROUP BY over a complex expression: the value-fallback route.
+            // GROUP BY over complex expressions: integer arithmetic,
+            // arithmetic over NaN-stored NULLs, a key mixing Int64 and
+            // Float64, and a comparison.
             "SELECT A.id + B.id, SUM(A.val) FROM A, B WHERE A.id = B.id GROUP BY A.id + B.id",
+            "SELECT N.f * 2, COUNT(*), SUM(A.val) FROM A, N WHERE A.id = N.id GROUP BY N.f * 2",
+            "SELECT A.id + B.val, SUM(A.val), MAX(B.tag) FROM A, B WHERE A.id = B.id GROUP BY A.id + B.val",
+            "SELECT A.val > 5, COUNT(*) FROM A, B WHERE A.id = B.id GROUP BY A.val > 5",
+            // A residual across three tables, and two residuals where the
+            // second divides by zero only on tuples the first rejects.
+            "SELECT A.val, B.val, C.w FROM A, B, C WHERE A.id = B.id AND B.id = C.id AND A.val + B.val > C.w",
+            "SELECT A.val, C.w FROM A, C WHERE A.id = C.id AND A.val - C.w <> 0 AND A.val / (A.val - C.w) > 0",
         ];
         let sql = queries[query_idx];
         let want = tcudb_reference::execute(&catalog, sql).unwrap();
@@ -406,7 +415,8 @@ proptest! {
             prop_assert_eq!(rows(sql, &got), rows(sql, &want), "{} under {}", sql, plan);
             // A second run hits the warm dictionary and plan caches and
             // must be byte-identical to the first.
-            prop_assert_eq!(&db.execute(sql).unwrap().table, &got, "warm {} under {}", sql, plan);
+            let warm = db.execute(sql).unwrap().table;
+            prop_assert_eq!(exact(&warm), exact(&got), "warm {} under {}", sql, plan);
         }
     }
 }
@@ -580,19 +590,19 @@ proptest! {
             let got = db.execute(sql).unwrap().table;
             prop_assert_eq!(rows(sql, &got), rows(sql, &want), "{} under {}", sql, plan);
             let warm = db.execute(sql).unwrap().table;
-            prop_assert_eq!(&warm, &got, "warm {} under {}", sql, plan);
+            prop_assert_eq!(exact(&warm), exact(&got), "warm {} under {}", sql, plan);
         }
     }
 
     /// The segmented and the §3.3 fused one-hot-GEMM reductions must
-    /// produce bit-identical tables whenever the GEMM is admitted, both
-    /// matching the `Value` oracle over the same tuple batch.
+    /// produce identical tables whenever the GEMM is admitted, both
+    /// matching the reference's own finalize over the same tuples.
     #[test]
     fn segmented_and_gemm_finalize_agree(
         g_rows in prop::collection::vec((0i64..8, 0i64..8, 0i64..80), 1..40),
         tuple_raw in prop::collection::vec((0usize..64, 0usize..64), 0..48),
         vmode in 0i64..2,
-        query_idx in 0usize..5,
+        query_idx in 0usize..6,
     ) {
         let g = agg_table(&g_rows, vmode);
         let j = Table::from_int_columns("J", &[("k", vec![0, 1, 2, 3])]).unwrap();
@@ -606,8 +616,11 @@ proptest! {
             "SELECT AVG(G.v), G.tag FROM G, J WHERE G.k = J.k GROUP BY G.tag ORDER BY G.tag",
             "SELECT SUM(G.v), COUNT(*) FROM G, J WHERE G.k = J.k",
             "SELECT SUM(G.v), G.k FROM G, J WHERE G.k = J.k GROUP BY G.k ORDER BY SUM(G.v) LIMIT 2",
+            // A complex key: evaluated, then coded like a column's codes.
+            "SELECT G.k * 2 + J.k, SUM(G.v), G.tag FROM G, J WHERE G.k = J.k GROUP BY G.k * 2 + J.k, G.tag",
         ];
-        let q = analyze(&parse(queries[query_idx]).unwrap(), &cat).unwrap();
+        let sql = queries[query_idx];
+        let q = analyze(&parse(sql).unwrap(), &cat).unwrap();
 
         let grows = cat.table("G").unwrap().num_rows();
         let jrows = cat.table("J").unwrap().num_rows();
@@ -615,14 +628,21 @@ proptest! {
             .iter()
             .map(|&(a, b)| vec![a % grows.max(1), b % jrows])
             .collect();
-        let oracle = relops::finalize_output(&q, &tuples);
+        let oracle = tcudb_reference::finalize_output(&q, &tuples);
         let batch = TupleBatch::from_tuples(&tuples, 2).unwrap();
         let segmented = relops::finalize_output_columnar(&q, &batch, &FinalizeOptions::baseline());
         let gemm = relops::finalize_output_columnar(&q, &batch, &FinalizeOptions::tensor(1 << 24));
         match (oracle, segmented, gemm) {
-            (Ok(want), Ok((seg, _)), Ok((via_gemm, _))) => {
-                prop_assert_eq!(&seg, &want, "segmented {}", queries[query_idx]);
-                prop_assert_eq!(&via_gemm, &want, "gemm {}", queries[query_idx]);
+            (Ok(want), Ok((seg, seg_report)), Ok((via_gemm, gemm_report))) => {
+                prop_assert_eq!(exact(&seg), exact(&want), "segmented {}", sql);
+                prop_assert_eq!(exact(&via_gemm), exact(&want), "gemm {}", sql);
+                // The complex key takes the grouped path and counts real
+                // groups, like a column key.
+                if query_idx == 5 {
+                    prop_assert_eq!(seg_report.path, "grouped");
+                    prop_assert!(matches!(gemm_report.path, "grouped" | "grouped-gemm"));
+                    prop_assert_eq!(gemm_report.groups, want.num_rows());
+                }
             }
             (o, s, g2) => {
                 // ORDER BY SUM(...) is unresolvable on every path alike.
@@ -689,6 +709,47 @@ proptest! {
             want_max.cloned().unwrap_or(Value::Null)
         );
     }
+}
+
+/// A table's schema and rows in order, cells in `Debug` form — which
+/// tells `Int(1)` from `Float(1.0)` and lets a NaN cell equal itself.
+fn exact(t: &Table) -> (Schema, Vec<String>) {
+    let rows = (0..t.num_rows()).map(|i| format!("{:?}", t.row(i)));
+    (t.schema().clone(), rows.collect())
+}
+
+/// A SELECT item with more than one aggregate call is rejected by the
+/// analyzer with a typed error, in production and the reference alike;
+/// one aggregate wrapped in arithmetic is fine.
+#[test]
+fn several_aggregates_in_one_item_are_an_analysis_error() {
+    let mut cat = Catalog::new();
+    cat.register(Table::from_int_columns("A", &[("val", vec![10, 20, 30])]).unwrap());
+    let db = TcuDb::new(EngineConfig::default());
+    db.set_catalog(cat.clone());
+    for sql in [
+        "SELECT SUM(A.val) + COUNT(*) FROM A",
+        "SELECT SUM(A.val) / COUNT(A.val) FROM A",
+    ] {
+        assert!(
+            matches!(db.execute(sql), Err(TcuError::Analysis(_))),
+            "{sql}"
+        );
+        assert!(
+            matches!(
+                tcudb_reference::execute(&cat, sql),
+                Err(TcuError::Analysis(_))
+            ),
+            "{sql}"
+        );
+    }
+    let sql = "SELECT SUM(A.val) + (1 - 0.85) / 3 FROM A";
+    let want = Value::Float(60.0 + (1.0 - 0.85) / 3.0);
+    assert_eq!(db.execute(sql).unwrap().table.row(0), vec![want.clone()]);
+    assert_eq!(
+        tcudb_reference::execute(&cat, sql).unwrap().row(0),
+        vec![want]
+    );
 }
 
 /// NULL keys (only producible through intermediate value vectors, never

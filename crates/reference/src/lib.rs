@@ -5,34 +5,189 @@
 //! The oracle the TCUDB test suites compare production against: a
 //! deliberately naive interpreter that evaluates a query one row and one
 //! [`Value`] at a time — textual-order filters, a `ValueKey` hash join or
-//! a nested loop per join step, the row-at-a-time
-//! [`relops::finalize_output`] — sharing with production only the SQL
-//! front-end, the analyzer, the join *order* (so unordered results line up
-//! row for row) and the definition of comparison truth
-//! ([`context::compare`]).
+//! a nested loop per join step, and its own [`finalize_output`]
+//! (residuals, `HashMap` grouping, aggregation, ORDER BY, LIMIT).  What it
+//! shares with production is definitions only:
+//!
+//! * the SQL front-end and the analyzer;
+//! * the join *order* ([`pipeline::join_order`]), so unordered results
+//!   line up row for row;
+//! * scalar semantics: [`context::eval`] / [`context::eval_binary`], and
+//!   comparison truth ([`context::compare`]);
+//! * the aggregate fold ([`relops::aggregate_values`]) and ORDER BY key
+//!   resolution ([`relops::order_key_indices`]).
+//!
+//! Production's scan, join and finalize pipelines are not shared.
 //!
 //! Dev-only: `publish = false`, and only ever a `[dev-dependencies]` entry,
 //! so no shipped binary links it.  It also keeps the `Value`-walking
 //! matrix builders the encoded builders of `tcudb_core::translate` are
 //! tested against.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use tcudb_core::analyzer::{analyze, AnalyzedQuery};
-use tcudb_core::context::{self, eval_predicate};
+use tcudb_core::context::{self, eval, eval_predicate, RowContext};
 use tcudb_core::translate::Domain;
 use tcudb_core::{pipeline, relops};
-use tcudb_sql::{parse, BinOp};
-use tcudb_storage::{Catalog, Column, Table};
+use tcudb_sql::{parse, AggFunc, BinOp, Expr};
+use tcudb_storage::{Catalog, Column, ColumnDef, Schema, Table};
 use tcudb_tensor::{CsrMatrix, DenseMatrix};
 use tcudb_types::value::ValueKey;
-use tcudb_types::{TcuError, TcuResult, Value};
+use tcudb_types::{DataType, TcuError, TcuResult, Value};
 
 /// Parse, analyze and evaluate `sql` against `catalog`, row at a time.
 pub fn execute(catalog: &Catalog, sql: &str) -> TcuResult<Table> {
     let analyzed = analyze(&parse(sql)?, catalog)?;
     let surviving = apply_filters(&analyzed)?;
     let tuples = join(&analyzed, &surviving)?;
-    relops::finalize_output(&analyzed, &tuples)
+    finalize_output(&analyzed, &tuples)
+}
+
+/// Materialise a query's result from joined row tuples (one row index per
+/// bound table, in table order), one tuple and one [`Value`] at a time:
+/// residual predicates in textual order, first-seen groups keyed by
+/// `Value::group_key`, each aggregate folded over its group's argument
+/// values, then ORDER BY and LIMIT.
+pub fn finalize_output(analyzed: &AnalyzedQuery, tuples: &[Vec<usize>]) -> TcuResult<Table> {
+    let stmt = &analyzed.stmt;
+    let mut ctx = analyzed.row_context();
+    let names: Vec<String> = stmt.items.iter().map(|i| i.output_name()).collect();
+    let grouped = stmt.has_aggregates() || !stmt.group_by.is_empty();
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    // Per group, in first-seen order: its key values and, per SELECT item,
+    // the aggregate's argument values.
+    let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
+    let mut index: HashMap<Vec<ValueKey>, usize> = HashMap::new();
+    for tuple in tuples {
+        ctx.set_rows(tuple);
+        if !residuals_pass(analyzed, &ctx)? {
+            continue;
+        }
+        if !grouped {
+            let row = stmt.items.iter().map(|i| eval(&i.expr, &ctx));
+            rows.push(row.collect::<TcuResult<_>>()?);
+            continue;
+        }
+        let keys = stmt
+            .group_by
+            .iter()
+            .map(|g| eval(g, &ctx))
+            .collect::<TcuResult<Vec<Value>>>()?;
+        let key = keys.iter().map(Value::group_key).collect();
+        let g = *index.entry(key).or_insert_with(|| {
+            groups.push((keys, vec![Vec::new(); stmt.items.len()]));
+            groups.len() - 1
+        });
+        for (item, args) in stmt.items.iter().zip(&mut groups[g].1) {
+            if let Some((func, arg)) = item.expr.first_aggregate() {
+                args.push(match (func, arg) {
+                    // COUNT(*) counts rows, whatever its literal argument.
+                    (AggFunc::Count, Expr::Literal(_)) => Value::Int(1),
+                    _ => eval(arg, &ctx)?,
+                });
+            }
+        }
+    }
+    if grouped {
+        // A global aggregate over no tuples still yields one row.
+        if stmt.group_by.is_empty() && groups.is_empty() {
+            groups.push((Vec::new(), vec![Vec::new(); stmt.items.len()]));
+        }
+        for (keys, args) in &groups {
+            let mut row = Vec::with_capacity(stmt.items.len());
+            for (item, args) in stmt.items.iter().zip(args) {
+                row.push(match item.expr.first_aggregate() {
+                    Some((func, _)) => finish(&item.expr, &relops::aggregate_values(*func, args))?,
+                    None => match stmt.group_by.iter().position(|g| *g == item.expr) {
+                        Some(k) => keys[k].clone(),
+                        None => {
+                            return Err(TcuError::Analysis(format!(
+                                "non-aggregate SELECT item '{}' is not in GROUP BY",
+                                item.expr
+                            )))
+                        }
+                    },
+                });
+            }
+            rows.push(row);
+        }
+    }
+    let order = relops::order_key_indices(stmt, &names)?;
+    rows.sort_by(|a, b| {
+        order
+            .iter()
+            .map(|&(k, asc)| {
+                let ord = a[k].sql_cmp(&b[k]);
+                if asc {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    rows.truncate(stmt.limit.unwrap_or(usize::MAX));
+    table_from_rows(&names, rows)
+}
+
+/// Do all residual (multi-table, non-join) predicates hold on the current
+/// row?  Textual order, stopping at the first that fails.
+fn residuals_pass(analyzed: &AnalyzedQuery, ctx: &RowContext) -> TcuResult<bool> {
+    for pred in &analyzed.residual {
+        if !eval_predicate(pred, ctx)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// An aggregate SELECT item's value: the arithmetic around its aggregate
+/// call, over the aggregate's value.
+fn finish(expr: &Expr, agg: &Value) -> TcuResult<Value> {
+    match expr {
+        Expr::Aggregate { .. } => Ok(agg.clone()),
+        Expr::Literal(v) => Ok(v.clone()),
+        Expr::Binary { left, op, right } => {
+            context::eval_binary(&finish(left, agg)?, *op, &finish(right, agg)?)
+        }
+        other => Err(TcuError::Analysis(format!(
+            "'{other}' cannot appear around an aggregate call"
+        ))),
+    }
+}
+
+/// The result table of value rows: a column is TEXT if any of its values
+/// is, else FLOAT64 if any is a float, else INT64; NULLs are stored as
+/// NaN, 0 or the empty string.
+fn table_from_rows(names: &[String], rows: Vec<Vec<Value>>) -> TcuResult<Table> {
+    let types: Vec<DataType> = (0..names.len())
+        .map(|c| {
+            if rows.iter().any(|r| matches!(r[c], Value::Text(_))) {
+                DataType::Text
+            } else if rows.iter().any(|r| matches!(r[c], Value::Float(_))) {
+                DataType::Float64
+            } else {
+                DataType::Int64
+            }
+        })
+        .collect();
+    let defs = names.iter().zip(&types);
+    let mut table = Table::new(
+        "result",
+        Schema::new(defs.map(|(n, t)| ColumnDef::new(n.clone(), *t)).collect()),
+    );
+    for row in rows {
+        let cells = row.into_iter().zip(&types).map(|(v, t)| match (v, t) {
+            (Value::Null, DataType::Float64) => Value::Float(f64::NAN),
+            (Value::Null, DataType::Int64) => Value::Int(0),
+            (Value::Null, DataType::Text) => Value::Text(String::new()),
+            (v, _) => v,
+        });
+        table.push_row(cells.collect())?;
+    }
+    Ok(table)
 }
 
 /// A result's rows in comparable form: as returned when the statement
