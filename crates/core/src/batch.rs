@@ -3,10 +3,11 @@
 //! Join intermediates travel as a [`TupleBatch`], the struct-of-arrays
 //! form of a list of joined tuples: one flat `Vec<u32>` row-index column
 //! per bound table, with no per-tuple allocation.  A join step is a
-//! columnar gather, the final remap to bound-table order is a column
-//! permutation (O(tables) instead of O(tuples·tables)), and the one
-//! finalize path (`relops::finalize_output_columnar`) gathers typed
-//! columns directly.  Only its expression evaluator turns a tuple back
+//! columnar gather (the star route instead appends whole tuples per morsel
+//! and concatenates the morsels, `TupleBatch::concat`), the final remap
+//! to bound-table order is a column permutation (O(tables) instead of
+//! O(tuples·tables)), and the one finalize path
+//! (`relops::finalize_output_columnar`) gathers typed columns directly.  Only its expression evaluator turns a tuple back
 //! into row indices ([`TupleBatch::write_row`]), for expressions it must
 //! interpret one tuple at a time.
 //!
@@ -63,6 +64,21 @@ impl TupleBatch {
             cols,
             len: tuples.len(),
         })
+    }
+
+    /// Assemble a batch from per-morsel column sets — `slots` equal-length
+    /// row-index columns each — concatenated in order into exact-capacity
+    /// columns.
+    pub(crate) fn concat(slots: usize, parts: Vec<Vec<Vec<u32>>>) -> TupleBatch {
+        let len = parts.iter().map(|p| p.first().map_or(0, Vec::len)).sum();
+        let mut cols: Vec<Vec<u32>> = (0..slots).map(|_| Vec::with_capacity(len)).collect();
+        for part in parts {
+            debug_assert_eq!(part.len(), slots);
+            for (col, src) in cols.iter_mut().zip(part) {
+                col.extend(src);
+            }
+        }
+        TupleBatch { cols, len }
     }
 
     /// Number of tuples.
@@ -285,6 +301,18 @@ mod tests {
             j.to_tuples(),
             vec![vec![10, 200], vec![12, 100], vec![12, 200]]
         );
+    }
+
+    #[test]
+    fn concat_joins_morsel_columns_in_order() {
+        let parts = vec![
+            vec![vec![1, 2], vec![10, 20]],
+            vec![vec![], vec![]],
+            vec![vec![3], vec![30]],
+        ];
+        let b = TupleBatch::concat(2, parts);
+        assert_eq!(b.to_tuples(), vec![vec![1, 10], vec![2, 20], vec![3, 30]]);
+        assert!(TupleBatch::concat(2, Vec::new()).is_empty());
     }
 
     #[test]

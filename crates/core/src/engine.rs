@@ -121,9 +121,9 @@ impl EngineConfig {
 ///
 /// Without `ORDER BY`, the order of the rows in [`QueryOutput::table`] is
 /// unspecified: it follows the join plan (nonzero extraction is
-/// left-major, the code join probe-major), so two plans — or two engines —
-/// may return the same rows in different orders.  Compare unordered
-/// results as multisets.
+/// left-major, the code join probe-major, the star route root-row order),
+/// so two plans — or two engines — may return the same rows in different
+/// orders.  Compare unordered results as multisets.
 #[derive(Debug, Clone)]
 pub struct QueryOutput {
     /// The result rows.
@@ -600,16 +600,16 @@ impl TcuDb {
         ctx: &tcudb_types::sync::QueryContext,
     ) -> TcuResult<QueryOutput> {
         let optimizer = self.optimizer();
-        let replay = entry.choices();
+        let replay = entry.plan();
         let exec = executor::execute_ctx(
             &entry.analyzed,
             &optimizer,
             &self.config,
-            replay.as_deref().map(Vec::as_slice),
+            replay.as_deref(),
             ctx,
         )?;
         if replay.is_none() {
-            entry.record_choices(exec.choices);
+            entry.record_plan(exec.recorded);
         }
         Ok(QueryOutput {
             table: exec.table,
@@ -810,6 +810,44 @@ mod tests {
             second.timeline.total_seconds()
         );
         assert_eq!(engine.plan_cache_len(), 1);
+    }
+
+    #[test]
+    fn the_join_route_is_recorded_and_replayed_with_the_plan() {
+        // `C`'s key is unique and `A`, listed last, is the root: a star.
+        // Under the GPU fallback it runs on the star route; a forced dense
+        // TCU plan on shapes this small runs a real kernel, so the star
+        // pass is discarded and the pairwise route replays its choices.
+        for (kind, star) in [(PlanKind::GpuFallback, true), (PlanKind::TcuDense, false)] {
+            let engine = TcuDb::new(EngineConfig::default().with_forced_plan(kind));
+            engine.register_table(
+                Table::from_int_columns(
+                    "A",
+                    &[("id", vec![1, 1, 2, 3]), ("val", vec![10, 11, 20, 30])],
+                )
+                .unwrap(),
+            );
+            engine.register_table(
+                Table::from_int_columns("C", &[("id", vec![3, 1, 2]), ("w", vec![300, 100, 200])])
+                    .unwrap(),
+            );
+            let sql = "SELECT A.val, C.w FROM C, A WHERE A.id = C.id";
+            let cold = engine.execute(sql).unwrap();
+            let warm = engine.execute(sql).unwrap();
+            assert_eq!(
+                (cold.plan.star_join, warm.plan.star_join),
+                (star, star),
+                "{kind}"
+            );
+            assert_eq!(cold.table, warm.table, "{kind}");
+            assert_eq!(cold.plan.steps, warm.plan.steps, "{kind}");
+            assert_eq!(
+                cold.timeline.total_seconds(),
+                warm.timeline.total_seconds(),
+                "{kind}"
+            );
+            assert_eq!(cold.table.num_rows(), 4);
+        }
     }
 
     #[test]

@@ -14,22 +14,34 @@
 //! counts drive the simulated timings; for larger shapes the same answers
 //! are produced through an equivalent hash-based path while the simulated
 //! timings come from the identical cost formulas evaluated on the exact
-//! operation counts the kernel *would* have performed.  DESIGN.md §2
-//! documents this substitution.
+//! operation counts the kernel *would* have performed.
+//!
+//! The host computes joins one of two ways.  When the join graph is a star
+//! with unique dimension keys, [`pipeline::star_join`] builds the final
+//! tuple batch in one pass over the root table through per-dimension
+//! lookup arrays — the fused operator's one-hot dimension matrices stored
+//! as index vectors — and reports each step's exact `(m, n, k, out)`;
+//! every step is then planned and charged on that shape exactly as the
+//! pairwise route would (`charge_host_step` serves both).  Otherwise, or
+//! when some step's plan would physically run a tensor kernel, the star
+//! result is discarded and [`pipeline::join`] computes the steps pairwise
+//! with the same choices.  Either way the plan and the simulated timeline
+//! are the same; ARCHITECTURE.md §2 documents both substitutions.
 
 use crate::analyzer::{AnalyzedQuery, QueryPattern};
 use crate::engine::EngineConfig;
 use crate::optimizer::{JoinShape, Optimizer, PlanChoice, PlanKind};
-use crate::pipeline::{self, JoinStep};
+use crate::pipeline::{self, JoinStep, StepShape};
+use crate::plancache::RecordedPlan;
 use crate::relops::{self, FinalizeOptions};
 use crate::translate::{self, Domain};
 use std::time::Instant;
-use tcudb_device::{ExecutionTimeline, Phase};
+use tcudb_device::{CostModel, ExecutionTimeline, Phase};
 use tcudb_sql::BinOp;
 use tcudb_storage::{Column, Table};
-use tcudb_tensor::{blocked, gemm, nonzero, spmm, CsrMatrix, DenseMatrix, GemmPrecision};
+use tcudb_tensor::{blocked, gemm, nonzero, spmm, CsrMatrix, GemmPrecision};
 use tcudb_types::sync::QueryContext;
-use tcudb_types::{DataType, TcuError, TcuResult, Value};
+use tcudb_types::{DataType, TcuResult, Value};
 
 /// Join results stay resident in device memory (the in-GPU-memory
 /// architecture of §2.2 keeps intermediate and final relations on the
@@ -47,6 +59,10 @@ pub struct PlanDescription {
     pub used_tcu: bool,
     /// Was every TCU step guaranteed exact by the feasibility test?
     pub exact: bool,
+    /// Did the joins run on the star route ([`pipeline::star_join`])?
+    /// Not part of [`PlanDescription::format`]: the route changes how the
+    /// host computes the joins, not the plan.
+    pub star_join: bool,
 }
 
 impl PlanDescription {
@@ -105,26 +121,27 @@ pub struct Execution {
     pub plan: PlanDescription,
     /// Host-measured wall-clock stage attribution.
     pub host: HostBreakdown,
-    /// The optimizer's decision per executed join step, in execution
-    /// order — what the plan cache records so repeat executions of the
-    /// same statement against the same snapshot skip costing entirely.
-    pub choices: Vec<PlanChoice>,
+    /// The join route and the optimizer's decision per executed join
+    /// step, in execution order — what the plan cache records so repeat
+    /// executions of the same statement against the same snapshot take
+    /// the same route and skip costing entirely.
+    pub recorded: RecordedPlan,
 }
 
 /// Execute an analyzed query on the TCUDB engine.
 ///
-/// `replay` carries the per-join-step [`PlanChoice`]s recorded by a prior
-/// execution of the identical statement against the identical catalog
-/// snapshot (see [`crate::plancache`]); when present, join steps reuse
-/// those decisions instead of re-running the optimizer's feasibility /
-/// density / working-set / cost tests.  Pass `None` to plan from scratch
-/// (the choices actually taken are returned in [`Execution::choices`]
-/// either way).
+/// `replay` carries the join route and per-join-step [`PlanChoice`]s
+/// recorded by a prior execution of the identical statement against the
+/// identical catalog snapshot (see [`crate::plancache`]); when present,
+/// the joins take that route and reuse those decisions instead of
+/// re-running the optimizer's feasibility / density / working-set / cost
+/// tests.  Pass `None` to plan from scratch (the route and choices
+/// actually taken are returned in [`Execution::recorded`] either way).
 pub fn execute(
     analyzed: &AnalyzedQuery,
     optimizer: &Optimizer,
     config: &EngineConfig,
-    replay: Option<&[PlanChoice]>,
+    replay: Option<&RecordedPlan>,
 ) -> TcuResult<Execution> {
     execute_ctx(
         analyzed,
@@ -138,18 +155,21 @@ pub fn execute(
 /// [`execute`] under a cancellation/deadline [`QueryContext`].
 ///
 /// The context is probed at the pipeline's natural chunk boundaries —
-/// per filtered table, per join step, inside the tensor kernels between
-/// k-blocks, and per finalize chunk — so a cancelled or past-deadline
-/// query unwinds with [`TcuError::Cancelled`] /
-/// [`TcuError::DeadlineExceeded`] within one chunk's worth of work,
-/// never mid-mutation and never leaving a poisoned lock (execution holds
-/// no locks; the serve layer owns the admission bookkeeping and releases
-/// it on *any* return path).
+/// per filtered table, per join step or star-pass morsel, inside the
+/// tensor kernels between k-blocks, and per finalize chunk — so a
+/// cancelled or past-deadline query unwinds with [`Cancelled`] /
+/// [`DeadlineExceeded`] within one chunk's worth of work, never
+/// mid-mutation and never leaving a poisoned lock (execution holds no
+/// locks; the serve layer owns the admission bookkeeping and releases it
+/// on *any* return path).
+///
+/// [`Cancelled`]: tcudb_types::TcuError::Cancelled
+/// [`DeadlineExceeded`]: tcudb_types::TcuError::DeadlineExceeded
 pub fn execute_ctx(
     analyzed: &AnalyzedQuery,
     optimizer: &Optimizer,
     config: &EngineConfig,
-    replay: Option<&[PlanChoice]>,
+    replay: Option<&RecordedPlan>,
     ctx: &QueryContext,
 ) -> TcuResult<Execution> {
     let mut timeline = ExecutionTimeline::new();
@@ -158,6 +178,7 @@ pub fn execute_ctx(
         steps: Vec::new(),
         used_tcu: false,
         exact: true,
+        star_join: false,
     };
     let cost = optimizer.cost_model();
     let mut host = HostBreakdown::default();
@@ -213,9 +234,11 @@ pub fn execute_ctx(
             .push(format!("single-table pipeline over {rows} rows"));
     }
 
-    // ---- Joins: the shared driver walks the graph; this engine's policy
-    // plans each step (or replays its cached choice) and runs it on the
-    // tensor cores or the GPU fallback ----
+    // ---- Joins: the star route when the join graph is a star with
+    // unique dimension keys, the shared pairwise driver otherwise.  Either
+    // way this engine's policy plans each step (or replays its cached
+    // choice) on the step's exact shape and charges the simulated device
+    // for it ----
     let fuse_last = analyzed.stmt.has_aggregates()
         && matches!(
             analyzed.pattern,
@@ -225,26 +248,80 @@ pub fn execute_ctx(
                 | QueryPattern::MultiWayJoin
         );
     let stage = Instant::now();
-    let mut choices: Vec<PlanChoice> = Vec::new();
-    let batch = pipeline::join(analyzed, &surviving, ctx, |step| {
-        // One call per join step: replayed choices line up with `choices`
-        // by position.
-        let cached = replay.and_then(|c| c.get(choices.len()));
-        let fused = step.last && fuse_last;
-        let (shape, choice) = plan_join_step(analyzed, optimizer, &mut plan, step, fused, cached);
-        let pairs = execute_join_step(
-            step,
-            &choice,
-            &shape,
-            optimizer,
-            config,
-            &mut timeline,
-            &mut host,
-            ctx,
-        );
-        choices.push(choice);
-        pairs
-    })?;
+    let threads = config.effective_morsel_threads();
+    let mut recorded = RecordedPlan::default();
+    // Choices planned on a star pass that was discarded because one of its
+    // steps would run a tensor kernel; the pairwise route replays them.
+    let mut star_choices: Option<Vec<PlanChoice>> = None;
+    let mut star_batch = None;
+    if replay.is_none_or(|r| r.star) {
+        if let Some(star) = pipeline::star_join(analyzed, &surviving, ctx, threads)? {
+            let last = star.steps.len() - 1;
+            let planned: Vec<(JoinShape, PlanChoice)> = star
+                .steps
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    let cached = replay.and_then(|r| r.choices.get(i));
+                    plan_join_step(
+                        analyzed,
+                        optimizer,
+                        &s.shape,
+                        i == last && fuse_last,
+                        cached,
+                    )
+                })
+                .collect();
+            let kernel = planned
+                .iter()
+                .zip(&star.steps)
+                .any(|((shape, choice), s)| runs_kernel(choice, shape, &s.shape, config));
+            if kernel {
+                star_choices = Some(planned.into_iter().map(|(_, c)| c).collect());
+            } else {
+                for ((shape, choice), s) in planned.into_iter().zip(&star.steps) {
+                    describe_join_step(&mut plan, s.bindings, s.cols, &shape, &choice);
+                    charge_host_step(&choice, &shape, &s.shape, optimizer, &mut timeline);
+                    recorded.choices.push(choice);
+                }
+                host.morsels += star.run.morsels;
+                host.workers = host.workers.max(star.run.threads as u64);
+                plan.star_join = true;
+                recorded.star = true;
+                star_batch = Some(star.batch);
+            }
+        }
+    }
+    let batch = match star_batch {
+        Some(batch) => batch,
+        None => {
+            // One call per join step: replayed choices line up with
+            // `recorded.choices` by position.
+            let replayed = replay
+                .map(|r| r.choices.as_slice())
+                .or(star_choices.as_deref());
+            pipeline::join(analyzed, &surviving, ctx, |step| {
+                let cached = replayed.and_then(|c| c.get(recorded.choices.len()));
+                let fused = step.last && fuse_last;
+                // The pair count is not known yet; planning does not read it.
+                let (shape, choice) =
+                    plan_join_step(analyzed, optimizer, &step.shape(0), fused, cached);
+                describe_join_step(&mut plan, step.bindings, step.cols, &shape, &choice);
+                let pairs = execute_join_step(
+                    step,
+                    &choice,
+                    &shape,
+                    optimizer,
+                    config,
+                    &mut timeline,
+                    &mut host,
+                    ctx,
+                );
+                recorded.choices.push(choice);
+                pairs
+            })?
+        }
+    };
     host.join_secs = stage.elapsed().as_secs_f64();
 
     // ---- Final aggregation / projection ----
@@ -279,7 +356,7 @@ pub fn execute_ctx(
         timeline,
         plan,
         host,
-        choices,
+        recorded,
     })
 }
 
@@ -315,17 +392,17 @@ fn estimate_groups(analyzed: &AnalyzedQuery, tuple_count: usize) -> usize {
     product.min(tuple_count.max(1))
 }
 
-/// Build the join shape for one step, ask the optimizer for a plan (or
-/// replay a cached one) and record the step in the plan description.
+/// Build the join shape for one step from its exact `m`, `n` and `k` and
+/// ask the optimizer for a plan (or replay a cached one).  `step.out` is
+/// not read: planning happens before the step runs.
 fn plan_join_step(
     analyzed: &AnalyzedQuery,
     optimizer: &Optimizer,
-    plan: &mut PlanDescription,
-    step: &JoinStep<'_>,
+    step: &StepShape,
     fused: bool,
     cached: Option<&PlanChoice>,
 ) -> (JoinShape, PlanChoice) {
-    let (m, n, k) = (step.left.len(), step.right.len(), step.domain.len().max(1));
+    let (m, n, k) = (step.m, step.n, step.k.max(1));
     let mut shape = JoinShape::equi_join(m, n, k);
     shape.raw_bytes = (m + n) * 8;
     if fused {
@@ -347,29 +424,177 @@ fn plan_join_step(
         Some(c) => c.clone(),
         None => optimizer.choose_join_plan(&shape),
     };
+    (shape, choice)
+}
+
+/// Record one planned join step in the plan description.
+fn describe_join_step(
+    plan: &mut PlanDescription,
+    bindings: (&str, &str),
+    cols: (&str, &str),
+    shape: &JoinShape,
+    choice: &PlanChoice,
+) {
     plan.used_tcu |= choice.kind.is_tcu();
     plan.exact &= choice.exact_guaranteed;
     plan.steps.push(format!(
         "join {} ⋈ {} on {}={} via {} [{}], m={} n={} k={}",
-        step.bindings.0,
-        step.bindings.1,
-        step.cols.0,
-        step.cols.1,
+        bindings.0,
+        bindings.1,
+        cols.0,
+        cols.1,
         choice.kind,
         choice.precision,
         shape.m,
         shape.n,
         shape.k,
     ));
-    (shape, choice)
 }
 
-/// TCUDB's policy for one join step: run the chosen plan, returning the
-/// matching `(left position, right position)` pairs and charging the
-/// simulated device for it.  Operands are scattered from dictionary codes;
-/// when a shape is too large to materialise (or is fused into the
-/// aggregate) the pairs come from the host operators while the timeline is
-/// charged the chosen TCU kernel on its exact shape.
+/// Are the step's operand matrices small enough to build and multiply for
+/// real?
+fn can_materialize(step: &StepShape, config: &EngineConfig) -> bool {
+    let (m, n, k) = (step.m, step.n, step.k.max(1));
+    (m.saturating_mul(k)).max(n.saturating_mul(k)) <= config.materialize_limit
+        && m.saturating_mul(n) <= config.materialize_limit
+        && (m as u128 * n as u128 * k as u128) <= config.kernel_mac_limit
+}
+
+/// Does an equi-join step physically run a tensor kernel?  Only a TCU
+/// plan on operands that can be materialised, and never the fused
+/// aggregate, whose GEMM is charged, not run.
+fn runs_kernel(
+    choice: &PlanChoice,
+    shape: &JoinShape,
+    step: &StepShape,
+    config: &EngineConfig,
+) -> bool {
+    choice.kind.is_tcu() && !shape.fused_aggregate && can_materialize(step, config)
+}
+
+/// Simulated seconds to build a step's operands (transformation) and to
+/// move them to the device — charged the same whether or not the kernel
+/// really runs.
+fn operand_seconds(
+    choice: &PlanChoice,
+    shape: &JoinShape,
+    rows: usize,
+    cost: &CostModel,
+) -> (f64, f64) {
+    let working_set = shape.plan_working_set_bytes(choice.kind, choice.precision);
+    if choice.transform_on_gpu {
+        // Scattering the operand matrices on the device also writes the
+        // full matrix buffers through device memory.
+        (
+            cost.transform_gpu_seconds(rows) + cost.device_mem_seconds(working_set),
+            cost.h2d_seconds(shape.raw_bytes as f64),
+        )
+    } else {
+        (
+            cost.transform_cpu_seconds(rows),
+            cost.h2d_seconds(working_set),
+        )
+    }
+}
+
+/// Charge copying the fixed-size result handle back to the host.
+fn copy_handle_back(cost: &CostModel, timeline: &mut ExecutionTimeline) {
+    timeline.record_detail(
+        Phase::MemcpyDeviceToHost,
+        "copy result handle",
+        cost.d2h_seconds(RESULT_HANDLE_BYTES),
+    );
+}
+
+/// Charge an equi-join step whose pairs the host computed: the GPU
+/// fallback, or a TCU plan simulated at scale (too large to materialise,
+/// or fused into the aggregate) on the step's exact shape.  Both join
+/// routes call this, so they record the same timeline entries in the same
+/// order.
+fn charge_host_step(
+    choice: &PlanChoice,
+    shape: &JoinShape,
+    step: &StepShape,
+    optimizer: &Optimizer,
+    timeline: &mut ExecutionTimeline,
+) {
+    let cost = optimizer.cost_model();
+    let (m, n, k, out) = (step.m, step.n, step.k.max(1), step.out);
+    let kind = choice.kind;
+    if kind == PlanKind::GpuFallback {
+        timeline.record_detail(
+            Phase::MemcpyHostToDevice,
+            "copy join columns",
+            cost.h2d_seconds(shape.raw_bytes as f64),
+        );
+        timeline.record_detail(
+            Phase::HashJoin,
+            format!("GPU hash join {m}x{n}"),
+            cost.gpu_hash_join_seconds(m, n, out),
+        );
+        copy_handle_back(cost, timeline);
+        return;
+    }
+    let (dt, dm) = operand_seconds(choice, shape, m + n, cost);
+    timeline.record_detail(Phase::FillMatrices, "build matrices (GPU-assisted)", dt);
+    timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
+    let kernel_secs = match kind {
+        PlanKind::TcuSparse => {
+            cost.tcu_spmm_seconds(&shape.estimated_spmm_stats(), choice.precision)
+        }
+        PlanKind::TcuBlocked => {
+            optimizer.tcu_plan_seconds(
+                shape,
+                PlanKind::TcuBlocked,
+                choice.precision,
+                choice.transform_on_gpu,
+            ) - dt
+                - dm
+        }
+        _ => cost.tcu_gemm_seconds(&shape.dense_gemm_stats(choice.precision)),
+    };
+    if shape.fused_aggregate {
+        // The §3.3 fused Join+GroupBy+Aggregation operator: a single GEMM
+        // whose output dimension is the group domain, so only one row per
+        // group ever leaves the device.
+        timeline.record_detail(
+            Phase::TcuKernel,
+            format!(
+                "fused Join+Aggregation {} {}x{}x{}",
+                kind, shape.m, shape.n, shape.k
+            ),
+            kernel_secs.max(0.0),
+        );
+        timeline.record_detail(
+            Phase::MemcpyDeviceToHost,
+            "copy aggregate result",
+            cost.d2h_seconds(shape.groups.max(1) as f64 * 8.0),
+        );
+    } else {
+        timeline.record_detail(
+            Phase::TcuKernel,
+            format!("{kind} {m}x{n}x{k} (simulated at scale)"),
+            kernel_secs.max(0.0),
+        );
+        timeline.record_detail(
+            Phase::ResultMaterialize,
+            "nonzero extraction",
+            cost.nonzero_seconds(shape.m, shape.n, out),
+        );
+        timeline.record_detail(
+            Phase::MemcpyDeviceToHost,
+            "copy join result",
+            cost.d2h_seconds(out as f64 * 8.0),
+        );
+    }
+}
+
+/// TCUDB's policy for one step of the pairwise route: run the chosen
+/// plan, returning the matching `(left position, right position)` pairs
+/// and charging the simulated device for it.  Operands are scattered from
+/// dictionary codes; when a shape is too large to materialise (or is fused
+/// into the aggregate) the pairs come from the host operators and
+/// [`charge_host_step`] charges the chosen kernel on its exact shape.
 #[allow(clippy::too_many_arguments)]
 fn execute_join_step(
     step: &JoinStep<'_>,
@@ -384,31 +609,9 @@ fn execute_join_step(
     let cost = optimizer.cost_model();
     let (left, right) = (&step.left, &step.right);
     let (left_remap, right_remap) = step.remaps;
-    let m = left.len();
-    let n = right.len();
-    let k = step.domain.len().max(1);
+    let counts = step.shape(0);
+    let (m, n, k) = (counts.m, counts.n, counts.k.max(1));
     let precision: GemmPrecision = choice.precision.into();
-
-    let can_materialize = (m.saturating_mul(k)).max(n.saturating_mul(k))
-        <= config.materialize_limit
-        && m.saturating_mul(n) <= config.materialize_limit
-        && (m as u128 * n as u128 * k as u128) <= config.kernel_mac_limit;
-
-    // Transformation + movement phases are charged the same way regardless
-    // of whether the kernel really runs.
-    let dt = if choice.transform_on_gpu {
-        // Scattering the operand matrices on the device also writes the
-        // full matrix buffers through device memory.
-        cost.transform_gpu_seconds(m + n)
-            + cost.device_mem_seconds(shape.plan_working_set_bytes(choice.kind, choice.precision))
-    } else {
-        cost.transform_cpu_seconds(m + n)
-    };
-    let dm = if choice.transform_on_gpu {
-        cost.h2d_seconds(shape.raw_bytes as f64)
-    } else {
-        cost.h2d_seconds(shape.plan_working_set_bytes(choice.kind, choice.precision))
-    };
 
     // The probe side of the code join runs as contiguous row morsels on
     // the shared worker pool; pair order is identical to the serial probe.
@@ -418,171 +621,93 @@ fn execute_join_step(
         host.workers = host.workers.max(run.threads as u64);
         Ok(pairs)
     };
-    let handle_back = |timeline: &mut ExecutionTimeline| {
-        timeline.record_detail(
-            Phase::MemcpyDeviceToHost,
-            "copy result handle",
-            cost.d2h_seconds(RESULT_HANDLE_BYTES),
-        );
-    };
 
-    match choice.kind {
-        PlanKind::GpuFallback => {
-            let pairs = host_pairs(host)?;
-            timeline.record_detail(
-                Phase::MemcpyHostToDevice,
-                "copy join columns",
-                cost.h2d_seconds(shape.raw_bytes as f64),
-            );
-            timeline.record_detail(
-                Phase::HashJoin,
-                format!("GPU hash join {m}x{n}"),
-                cost.gpu_hash_join_seconds(m, n, pairs.len()),
-            );
-            handle_back(timeline);
-            Ok(pairs)
-        }
+    if step.op != BinOp::Eq && choice.kind.is_tcu() {
         // Non-equi joins on the TCU use the comparison matrix of §3.4 when
         // small, otherwise the host comparison join with simulated GEMM
         // cost.
-        _ if step.op != BinOp::Eq => {
-            timeline.record_detail(Phase::FillMatrices, "build comparison matrix", dt);
-            timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let pairs = if can_materialize {
-                let a = translate::comparison_matrix_encoded(left, step.domain, step.op)?;
-                let b = translate::one_hot_matrix_encoded(right, right_remap, step.domain.len());
-                let (c, stats) = gemm::gemm_bt_ctx(&a, &b, precision, ctx)?;
-                timeline.record_detail(
-                    Phase::TcuKernel,
-                    format!("non-equi TCU join {m}x{n}x{k}"),
-                    cost.tcu_gemm_seconds(&stats),
-                );
-                nonzero::nonzero(&c)
-            } else {
-                let stats = shape.dense_gemm_stats(choice.precision);
-                timeline.record_detail(
-                    Phase::TcuKernel,
-                    format!("non-equi TCU join {m}x{n}x{k} (simulated)"),
-                    cost.tcu_gemm_seconds(&stats),
-                );
-                host_pairs(host)?
-            };
+        let (dt, dm) = operand_seconds(choice, shape, m + n, cost);
+        timeline.record_detail(Phase::FillMatrices, "build comparison matrix", dt);
+        timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
+        let pairs = if can_materialize(&counts, config) {
+            let a = translate::comparison_matrix_encoded(left, step.domain, step.op)?;
+            let b = translate::one_hot_matrix_encoded(right, right_remap, step.domain.len());
+            let (c, stats) = gemm::gemm_bt_ctx(&a, &b, precision, ctx)?;
             timeline.record_detail(
-                Phase::ResultMaterialize,
-                "nonzero extraction",
-                cost.nonzero_seconds(m, n, pairs.len()),
+                Phase::TcuKernel,
+                format!("non-equi TCU join {m}x{n}x{k}"),
+                cost.tcu_gemm_seconds(&stats),
             );
-            Ok(pairs)
-        }
-        PlanKind::TcuDense | PlanKind::TcuBlocked | PlanKind::TcuSparse
-            if can_materialize && !shape.fused_aggregate =>
-        {
-            let sparse = choice.kind == PlanKind::TcuSparse;
-            let fill = if sparse {
-                "build CSR operands"
-            } else {
-                "build one-hot matrices"
-            };
-            timeline.record_detail(Phase::FillMatrices, fill, dt);
-            timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let (c, detail, kernel_secs) = if sparse {
-                let a = translate::one_hot_csr_encoded(left, left_remap, step.domain.len())?;
-                let b = translate::one_hot_csr_encoded(right, right_remap, step.domain.len())?;
-                let (c, stats) = spmm::tcu_spmm_ctx(&a, &b, precision, ctx)?;
-                let detail = format!(
-                    "TCU-SpMM {m}x{n}x{k} ({} tiles, {:.1}% skipped)",
-                    stats.tiles_processed,
-                    stats.skip_ratio() * 100.0
-                );
-                (c, detail, cost.tcu_spmm_seconds(&stats, choice.precision))
-            } else {
-                let a = translate::one_hot_matrix_encoded(left, left_remap, step.domain.len());
-                let b = translate::one_hot_matrix_encoded(right, right_remap, step.domain.len());
-                let detail = format!("{} {m}x{n}x{k}", choice.kind);
-                if choice.kind == PlanKind::TcuBlocked {
-                    // The bt-oriented blocked path packs the transpose
-                    // inside the kernel engine instead of materialising a
-                    // k×n copy here.
-                    let block = blocked::choose_block_size(cost.profile().device_mem_bytes);
-                    let (c, stats) = blocked::blocked_gemm_bt_ctx(&a, &b, precision, block, ctx)?;
-                    (
-                        c,
-                        detail,
-                        cost.blocked_gemm_seconds(&stats, choice.precision),
-                    )
-                } else {
-                    let (c, stats) = gemm::gemm_bt_ctx(&a, &b, precision, ctx)?;
-                    (c, detail, cost.tcu_gemm_seconds(&stats))
-                }
-            };
-            timeline.record_detail(Phase::TcuKernel, detail, kernel_secs);
-            let pairs = nonzero::nonzero(&c);
+            nonzero::nonzero(&c)
+        } else {
+            let stats = shape.dense_gemm_stats(choice.precision);
             timeline.record_detail(
-                Phase::ResultMaterialize,
-                "nonzero extraction",
-                cost.nonzero_seconds(m, n, pairs.len()),
+                Phase::TcuKernel,
+                format!("non-equi TCU join {m}x{n}x{k} (simulated)"),
+                cost.tcu_gemm_seconds(&stats),
             );
-            handle_back(timeline);
-            Ok(pairs)
-        }
-        // Too large to materialise (or fused): compute through the code
-        // join while charging the simulated cost of the chosen TCU kernel.
-        kind => {
-            timeline.record_detail(Phase::FillMatrices, "build matrices (GPU-assisted)", dt);
-            timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
-            let pairs = host_pairs(host)?;
-            let kernel_secs = match kind {
-                PlanKind::TcuSparse => {
-                    cost.tcu_spmm_seconds(&shape.estimated_spmm_stats(), choice.precision)
-                }
-                PlanKind::TcuBlocked => {
-                    optimizer.tcu_plan_seconds(
-                        shape,
-                        PlanKind::TcuBlocked,
-                        choice.precision,
-                        choice.transform_on_gpu,
-                    ) - dt
-                        - dm
-                }
-                _ => cost.tcu_gemm_seconds(&shape.dense_gemm_stats(choice.precision)),
-            };
-            if shape.fused_aggregate {
-                // The §3.3 fused Join+GroupBy+Aggregation operator: a single
-                // GEMM whose output dimension is the group domain, so only
-                // one row per group ever leaves the device.
-                timeline.record_detail(
-                    Phase::TcuKernel,
-                    format!(
-                        "fused Join+Aggregation {} {}x{}x{}",
-                        kind, shape.m, shape.n, shape.k
-                    ),
-                    kernel_secs.max(0.0),
-                );
-                timeline.record_detail(
-                    Phase::MemcpyDeviceToHost,
-                    "copy aggregate result",
-                    cost.d2h_seconds(shape.groups.max(1) as f64 * 8.0),
-                );
-            } else {
-                timeline.record_detail(
-                    Phase::TcuKernel,
-                    format!("{kind} {m}x{n}x{k} (simulated at scale)"),
-                    kernel_secs.max(0.0),
-                );
-                timeline.record_detail(
-                    Phase::ResultMaterialize,
-                    "nonzero extraction",
-                    cost.nonzero_seconds(shape.m, shape.n, pairs.len()),
-                );
-                timeline.record_detail(
-                    Phase::MemcpyDeviceToHost,
-                    "copy join result",
-                    cost.d2h_seconds(pairs.len() as f64 * 8.0),
-                );
-            }
-            Ok(pairs)
-        }
+            host_pairs(host)?
+        };
+        timeline.record_detail(
+            Phase::ResultMaterialize,
+            "nonzero extraction",
+            cost.nonzero_seconds(m, n, pairs.len()),
+        );
+        return Ok(pairs);
     }
+    if !runs_kernel(choice, shape, &counts, config) {
+        let pairs = host_pairs(host)?;
+        charge_host_step(choice, shape, &step.shape(pairs.len()), optimizer, timeline);
+        return Ok(pairs);
+    }
+
+    let sparse = choice.kind == PlanKind::TcuSparse;
+    let fill = if sparse {
+        "build CSR operands"
+    } else {
+        "build one-hot matrices"
+    };
+    let (dt, dm) = operand_seconds(choice, shape, m + n, cost);
+    timeline.record_detail(Phase::FillMatrices, fill, dt);
+    timeline.record_detail(Phase::MemcpyHostToDevice, "copy operands", dm);
+    let (c, detail, kernel_secs) = if sparse {
+        let a = translate::one_hot_csr_encoded(left, left_remap, step.domain.len())?;
+        let b = translate::one_hot_csr_encoded(right, right_remap, step.domain.len())?;
+        let (c, stats) = spmm::tcu_spmm_ctx(&a, &b, precision, ctx)?;
+        let detail = format!(
+            "TCU-SpMM {m}x{n}x{k} ({} tiles, {:.1}% skipped)",
+            stats.tiles_processed,
+            stats.skip_ratio() * 100.0
+        );
+        (c, detail, cost.tcu_spmm_seconds(&stats, choice.precision))
+    } else {
+        let a = translate::one_hot_matrix_encoded(left, left_remap, step.domain.len());
+        let b = translate::one_hot_matrix_encoded(right, right_remap, step.domain.len());
+        let detail = format!("{} {m}x{n}x{k}", choice.kind);
+        if choice.kind == PlanKind::TcuBlocked {
+            // The bt-oriented blocked path packs the transpose inside the
+            // kernel engine instead of materialising a k×n copy here.
+            let block = blocked::choose_block_size(cost.profile().device_mem_bytes);
+            let (c, stats) = blocked::blocked_gemm_bt_ctx(&a, &b, precision, block, ctx)?;
+            (
+                c,
+                detail,
+                cost.blocked_gemm_seconds(&stats, choice.precision),
+            )
+        } else {
+            let (c, stats) = gemm::gemm_bt_ctx(&a, &b, precision, ctx)?;
+            (c, detail, cost.tcu_gemm_seconds(&stats))
+        }
+    };
+    timeline.record_detail(Phase::TcuKernel, detail, kernel_secs);
+    let pairs = nonzero::nonzero(&c);
+    timeline.record_detail(
+        Phase::ResultMaterialize,
+        "nonzero extraction",
+        cost.nonzero_seconds(m, n, pairs.len()),
+    );
+    copy_handle_back(cost, timeline);
+    Ok(pairs)
 }
 
 /// Estimate the peak device working-set bytes a query will occupy, before
@@ -636,57 +761,8 @@ pub fn estimate_working_set_bytes(analyzed: &AnalyzedQuery, optimizer: &Optimize
 }
 
 // ---------------------------------------------------------------------
-// Stand-alone fused operator (Lemma 3.1): exposed for tests and examples.
+// Stand-alone Figure 5 operator: exposed for tests and examples.
 // ---------------------------------------------------------------------
-
-/// Compute the §3.3 fused group-by SUM aggregate entirely with matrix
-/// operations: `1_{1×n} × mat(A) × mat(B)ᵀ`.
-///
-/// * `a_keys` / `a_values`: the fact side — join key and payload per row,
-/// * `b_keys` / `b_groups`: the dimension side — join key and group value
-///   per row.
-///
-/// Returns `(group value, aggregated sum)` pairs, exactly what
-/// `SELECT SUM(A.Val), B.Val … GROUP BY B.Val` returns.
-pub fn tcu_group_aggregate(
-    a_keys: &[Value],
-    a_values: &[f64],
-    b_keys: &[Value],
-    b_groups: &[Value],
-    precision: GemmPrecision,
-) -> TcuResult<Vec<(Value, f64)>> {
-    if a_keys.len() != a_values.len() || b_keys.len() != b_groups.len() {
-        return Err(TcuError::InvalidArgument(
-            "key and value slices must have equal lengths".into(),
-        ));
-    }
-    let a_key_col = column_from_values(a_keys)?;
-    let b_key_col = column_from_values(b_keys)?;
-    let b_group_col = column_from_values(b_groups)?;
-    let key_domain = Domain::build(&[(&a_key_col, None), (&b_key_col, None)]);
-    let group_domain = Domain::build(&[(&b_group_col, None)]);
-
-    // mat(A): n×k valued; mat(B): m×k adjacency over (group, key).
-    let a = translate::valued_matrix(&a_key_col, a_values, None, &key_domain);
-    let b = translate::adjacency_matrix(
-        &b_group_col,
-        &b_key_col,
-        None,
-        None,
-        &group_domain,
-        &key_domain,
-    );
-    // P = mat(A) × mat(B)ᵀ  (n × m), then reduce with the all-ones vector.
-    let (p, _) = gemm::gemm_bt(&a, &b, precision)?;
-    let ones = DenseMatrix::ones(1, p.rows());
-    let (reduced, _) = gemm::gemm(&ones, &p, precision)?;
-
-    let mut out = Vec::with_capacity(group_domain.len());
-    for j in 0..group_domain.len() {
-        out.push((group_domain.value_at(j).clone(), reduced.get(0, j) as f64));
-    }
-    Ok(out)
-}
 
 /// Compute the Figure 5 matrix-multiplication query with one GEMM: given
 /// two "coordinate + value" tables, returns `(row, col, value)` triples of
@@ -749,48 +825,6 @@ pub fn edges_to_csr(num_nodes: usize, edges: &[(usize, usize)]) -> TcuResult<Csr
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fused_group_aggregate_matches_scalar_reference() {
-        // A: (ID, Val); B: (ID, Group)
-        let a_keys: Vec<Value> = [1, 2, 2, 3, 3, 3].iter().map(|&x| Value::Int(x)).collect();
-        let a_vals = [10.0, 20.0, 21.0, 30.0, 31.0, 32.0];
-        let b_keys: Vec<Value> = [1, 2, 3, 3].iter().map(|&x| Value::Int(x)).collect();
-        let b_groups: Vec<Value> = [100, 100, 200, 300]
-            .iter()
-            .map(|&x| Value::Int(x))
-            .collect();
-
-        let result =
-            tcu_group_aggregate(&a_keys, &a_vals, &b_keys, &b_groups, GemmPrecision::Fp32).unwrap();
-
-        // Scalar reference: join on key, group by group value, sum A.val.
-        let mut expected: std::collections::HashMap<i64, f64> = std::collections::HashMap::new();
-        for (ak, av) in a_keys.iter().zip(&a_vals) {
-            for (bk, bg) in b_keys.iter().zip(&b_groups) {
-                if ak.sql_eq(bk) {
-                    *expected.entry(bg.as_i64().unwrap()).or_default() += av;
-                }
-            }
-        }
-        assert_eq!(result.len(), expected.len());
-        for (g, sum) in result {
-            let g = g.as_i64().unwrap();
-            assert!((expected[&g] - sum).abs() < 1e-6, "group {g}");
-        }
-    }
-
-    #[test]
-    fn fused_aggregate_rejects_mismatched_lengths() {
-        let r = tcu_group_aggregate(
-            &[Value::Int(1)],
-            &[1.0, 2.0],
-            &[Value::Int(1)],
-            &[Value::Int(1)],
-            GemmPrecision::Fp32,
-        );
-        assert!(r.is_err());
-    }
 
     #[test]
     #[allow(clippy::needless_range_loop)] // 2x2 index loops mirror the math

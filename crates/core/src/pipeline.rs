@@ -10,16 +10,35 @@
 //! what it is charged — so [`join`] takes that policy as a callback over
 //! one [`JoinStep`] and owns everything around it, and [`finish`] applies
 //! `count_only` or the columnar finalize for all of them.
+//!
+//! ### The star route
+//!
+//! [`star_join`] is TCUDB's second way to the same [`TupleBatch`], for a
+//! join graph that is a star with unique dimension keys: every predicate
+//! is `=` between the root of [`join_order`] and one other table, each
+//! other table appears in exactly one predicate, and no two surviving rows
+//! of a dimension match the same root key.  Each dimension becomes one
+//! lookup array indexed by the dictionary code of the root's foreign-key
+//! column (the one-hot dimension matrix of the paper's Lemma 3.1, stored
+//! as its index vector), and one morsel-parallel pass over the root's
+//! surviving rows walks the dimensions in join order and keeps the rows
+//! that find a match in every one — no pairs, no [`Domain`], no
+//! intermediate batches.  The pass also reports every step's exact
+//! [`StepShape`], equal to what [`join`] would observe, so the executor
+//! plans and charges both routes identically.  Tuples come out in root
+//! row order.
 
 use crate::analyzer::AnalyzedQuery;
 use crate::batch::TupleBatch;
 use crate::context::compare;
 use crate::relops::{self, FinalizeOptions, FinalizeReport};
 use crate::translate::{Domain, EncodedSource};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use tcudb_sql::BinOp;
-use tcudb_storage::{Column, Table};
+use tcudb_storage::{Column, DictColumn, Table, DEFAULT_CHUNK_ROWS};
 use tcudb_types::sync::QueryContext;
-use tcudb_types::{MorselRun, TcuError, TcuResult, Value};
+use tcudb_types::{MorselRun, TcuError, TcuResult, Value, WorkerPool};
 
 /// One step of the join loop, as the driver hands it to an engine's
 /// policy: the already-joined tuples on the left, the surviving rows of
@@ -48,7 +67,33 @@ pub struct JoinStep<'a> {
     pub last: bool,
 }
 
+/// The exact operand shape of one join step: the tuples entering it, the
+/// surviving rows of the table it adds, the size of the union key domain,
+/// and the tuples leaving it.  Both join routes report it, so a step is
+/// planned and charged the same whichever route computed it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepShape {
+    /// Tuples entering the step (`JoinStep::left`).
+    pub m: usize,
+    /// Surviving rows of the table being added (`JoinStep::right`).
+    pub n: usize,
+    /// Size of the union key domain (`JoinStep::domain`).
+    pub k: usize,
+    /// Tuples leaving the step: its matching pairs.
+    pub out: usize,
+}
+
 impl JoinStep<'_> {
+    /// The step's shape, given how many pairs it produced.
+    pub fn shape(&self, out: usize) -> StepShape {
+        StepShape {
+            m: self.left.len(),
+            n: self.right.len(),
+            k: self.domain.len(),
+            out,
+        }
+    }
+
     /// The step's matching `(left position, right position)` pairs through
     /// the host operators: the code-bucket join for `=` (probe morsels on
     /// up to `threads` pool threads), the sorted/nested comparison join
@@ -170,6 +215,275 @@ fn key_column<'a>(
 ) -> TcuResult<(&'a Table, usize)> {
     let table: &Table = &analyzed.tables[*table].table;
     Ok((table, table.schema().require(column)?))
+}
+
+/// Lookup-array sentinel: no surviving dimension row matches this
+/// foreign-key code.
+const REJECT: u32 = u32::MAX;
+
+/// One step of a star join: its labels and exact shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StarStep<'a> {
+    /// Bindings of the root table and of the dimension being added.
+    pub bindings: (&'a str, &'a str),
+    /// Key column names, root side first.
+    pub cols: (&'a str, &'a str),
+    /// What [`join`] would observe for this step.
+    pub shape: StepShape,
+}
+
+/// What the star route produced.
+#[derive(Debug)]
+pub struct StarJoin<'a> {
+    /// The joined tuples in bound-table order, in root row order.
+    pub batch: TupleBatch,
+    /// One entry per join step, in join order.
+    pub steps: Vec<StarStep<'a>>,
+    /// The pass's morsel run.
+    pub run: MorselRun,
+}
+
+/// One dimension of a star: its foreign-key column on the root and the
+/// lookup array `foreign-key code → surviving dimension row | REJECT`.
+struct Dimension<'a> {
+    table: usize,
+    bindings: (&'a str, &'a str),
+    cols: (&'a str, &'a str),
+    fk: Arc<DictColumn>,
+    lookup: Vec<u32>,
+    /// Distinct keys among the dimension's surviving rows.
+    distinct: usize,
+}
+
+/// The star route: join the per-table `surviving` row sets in one
+/// morsel-parallel pass over the root's rows, or `None` when the query is
+/// not a star with unique dimension keys (see the module docs).
+///
+/// The batch holds the same tuples as [`join`]'s, in root row order, and
+/// the same for every thread count; `ctx` is probed once per morsel.
+pub fn star_join<'a>(
+    analyzed: &'a AnalyzedQuery,
+    surviving: &[Vec<usize>],
+    ctx: &QueryContext,
+    threads: usize,
+) -> TcuResult<Option<StarJoin<'a>>> {
+    let Some((root, dims)) = star_dimensions(analyzed, surviving)? else {
+        return Ok(None);
+    };
+    let rows = &surviving[root];
+    let root_rows = analyzed.tables[root].table.num_rows();
+    if u32::try_from(root_rows).is_err() {
+        return Err(TcuError::Execution(format!(
+            "row index {root_rows} exceeds the u32 batch index width"
+        )));
+    }
+    let seen: Vec<SeenCodes> = dims
+        .iter()
+        .map(|d| SeenCodes::new(d.fk.dict_len()))
+        .collect();
+    let morsels = rows.len().div_ceil(DEFAULT_CHUNK_ROWS);
+    let pass = |mi: usize| -> TcuResult<(Vec<Vec<u32>>, Vec<usize>)> {
+        ctx.check()?;
+        let lo = mi * DEFAULT_CHUNK_ROWS;
+        let hi = (lo + DEFAULT_CHUNK_ROWS).min(rows.len());
+        let mut entering = vec![0usize; dims.len()];
+        let mut hits = vec![0u32; dims.len()];
+        let mut cols: Vec<Vec<u32>> = vec![Vec::new(); dims.len() + 1];
+        'row: for &r in &rows[lo..hi] {
+            for (i, d) in dims.iter().enumerate() {
+                entering[i] += 1;
+                let code = d.fk.codes()[r];
+                seen[i].insert(code);
+                match d.lookup[code as usize] {
+                    REJECT => continue 'row,
+                    hit => hits[i] = hit,
+                }
+            }
+            cols[0].push(r as u32);
+            for (col, &hit) in cols[1..].iter_mut().zip(&hits) {
+                col.push(hit);
+            }
+        }
+        Ok((cols, entering))
+    };
+    let (parts, run) = WorkerPool::shared().run_chunks(morsels, threads, pass);
+    let mut entering = vec![0usize; dims.len()];
+    let mut columns = Vec::with_capacity(parts.len());
+    for part in parts {
+        let (cols, counts) = part?;
+        for (total, count) in entering.iter_mut().zip(counts) {
+            *total += count;
+        }
+        columns.push(cols);
+    }
+    let batch = TupleBatch::concat(dims.len() + 1, columns);
+
+    let steps = dims
+        .iter()
+        .zip(&seen)
+        .enumerate()
+        .map(|(i, (d, seen))| {
+            // `Domain::build_encoded`'s union: the distinct foreign keys
+            // that entered, plus the distinct dimension keys, minus the
+            // keys in both.
+            let (fks, matched) = seen.count(|code| d.lookup[code] != REJECT);
+            StarStep {
+                bindings: d.bindings,
+                cols: d.cols,
+                shape: StepShape {
+                    m: entering[i],
+                    n: surviving[d.table].len(),
+                    k: fks + d.distinct - matched,
+                    out: entering.get(i + 1).copied().unwrap_or(batch.len()),
+                },
+            }
+        })
+        .collect();
+    let mut joined = vec![root];
+    joined.extend(dims.iter().map(|d| d.table));
+    Ok(Some(StarJoin {
+        batch: batch.remap_slots(&joined, analyzed.tables.len()),
+        steps,
+        run,
+    }))
+}
+
+/// Decide whether the query is a star with unique dimension keys, and if
+/// so build each dimension's lookup array (in join order).
+fn star_dimensions<'a>(
+    analyzed: &'a AnalyzedQuery,
+    surviving: &[Vec<usize>],
+) -> TcuResult<Option<(usize, Vec<Dimension<'a>>)>> {
+    let n = analyzed.tables.len();
+    if n < 2 {
+        return Ok(None);
+    }
+    let order = join_order(analyzed)?;
+    let root = order[0];
+    // Every predicate is `root.col = dimension.col`, and every dimension
+    // appears in exactly one: no composite keys, cycles or snowflakes.
+    let mut uses = vec![0usize; n];
+    for j in &analyzed.joins {
+        if j.op != BinOp::Eq || (j.left.0 == root) == (j.right.0 == root) {
+            return Ok(None);
+        }
+        let dim = if j.left.0 == root {
+            j.right.0
+        } else {
+            j.left.0
+        };
+        uses[dim] += 1;
+    }
+    if order[1..].iter().any(|&t| uses[t] != 1) {
+        return Ok(None);
+    }
+    let mut dims = Vec::with_capacity(n - 1);
+    for &t in &order[1..] {
+        let j = analyzed
+            .joins
+            .iter()
+            .find(|j| j.left.0 == t || j.right.0 == t)
+            .expect("every dimension has one predicate");
+        let (root_key, dim_key) = if j.left.0 == root {
+            (&j.left, &j.right)
+        } else {
+            (&j.right, &j.left)
+        };
+        let (root_table, root_ci) = key_column(analyzed, root_key)?;
+        let (dim_table, dim_ci) = key_column(analyzed, dim_key)?;
+        let fk = root_table.encoded_column(root_ci);
+        let pk = dim_table.encoded_column(dim_ci);
+        let Some((lookup, distinct)) = lookup_array(&fk, &pk, &surviving[t])? else {
+            return Ok(None);
+        };
+        dims.push(Dimension {
+            table: t,
+            bindings: (&analyzed.tables[root].binding, &analyzed.tables[t].binding),
+            cols: (&root_key.1, &dim_key.1),
+            fk,
+            lookup,
+            distinct,
+        });
+    }
+    Ok(Some((root, dims)))
+}
+
+/// One dimension's lookup array over the root's foreign-key dictionary
+/// `fk`: each code maps to the surviving dimension row (of `rows`, keyed
+/// by `pk`) whose key equals it under `Value::group_key`, or to `REJECT`.
+/// Hashes once per distinct dimension key, never per row.  Returns the
+/// array and the number of distinct surviving dimension keys, or `None`
+/// when two surviving rows share a key the root can match.
+fn lookup_array(
+    fk: &DictColumn,
+    pk: &DictColumn,
+    rows: &[usize],
+) -> TcuResult<Option<(Vec<u32>, usize)>> {
+    const UNSEEN: u32 = u32::MAX;
+    const MISS: u32 = u32::MAX - 1;
+    let mut lookup = vec![REJECT; fk.dict_len()];
+    // Per dimension code: the foreign-key code it matches, MISS or UNSEEN.
+    let mut to_fk = vec![UNSEEN; pk.dict_len()];
+    let mut distinct = 0;
+    for &r in rows {
+        let code = pk.codes()[r];
+        match to_fk[code as usize] {
+            UNSEEN => {
+                distinct += 1;
+                // Distinct dimension codes have distinct keys, so they
+                // never land on the same slot.
+                to_fk[code as usize] = match fk.code_of(pk.value(code)) {
+                    Some(fk_code) => {
+                        lookup[fk_code as usize] = u32::try_from(r).map_err(|_| {
+                            TcuError::Execution(format!(
+                                "row index {r} exceeds the u32 batch index width"
+                            ))
+                        })?;
+                        fk_code
+                    }
+                    None => MISS,
+                };
+            }
+            MISS => {}
+            _ => return Ok(None),
+        }
+    }
+    Ok(Some((lookup, distinct)))
+}
+
+/// The set of foreign-key codes that entered one star step, shared by the
+/// pass's morsels: one bit per dictionary code, set with a read-first
+/// `fetch_or` so a code already seen costs one load.  `Relaxed` suffices:
+/// the bits publish no other data, and they are counted only after the
+/// pool has joined every thread of the pass.
+struct SeenCodes(Vec<AtomicU64>);
+
+impl SeenCodes {
+    fn new(codes: usize) -> SeenCodes {
+        SeenCodes((0..codes.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    #[inline]
+    fn insert(&self, code: u32) {
+        let (word, bit) = (&self.0[code as usize / 64], 1u64 << (code % 64));
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
+    }
+
+    /// `(codes seen, seen codes satisfying pred)`.
+    fn count(&self, pred: impl Fn(usize) -> bool) -> (usize, usize) {
+        let (mut seen, mut matched) = (0, 0);
+        for (w, word) in self.0.iter().enumerate() {
+            let mut bits = word.load(Ordering::Relaxed);
+            seen += bits.count_ones() as usize;
+            while bits != 0 {
+                matched += usize::from(pred(w * 64 + bits.trailing_zeros() as usize));
+                bits &= bits - 1;
+            }
+        }
+        (seen, matched)
+    }
 }
 
 /// Turn the joined tuples into the query's result table: the
@@ -320,6 +634,132 @@ mod tests {
         let gt = host_join("SELECT A.id FROM A, B WHERE B.id > A.id").unwrap();
         assert_eq!(lt.to_tuples(), gt.to_tuples());
         assert_eq!(lt.len(), 5);
+    }
+
+    /// A fact table `F` (row `i` has `d = i % 5`, `p = i % 3`, with a
+    /// NaN-stored NULL `p` every seventh row) and two dimensions with
+    /// unique keys: `D` over 0..4 and `P` over 0..3.
+    fn star_catalog(fact_rows: usize) -> Catalog {
+        let mut cat = Catalog::new();
+        let p = |i: usize| if i % 7 == 6 { f64::NAN } else { (i % 3) as f64 };
+        cat.register(
+            Table::from_columns(
+                "F",
+                tcudb_storage::Schema::from_pairs(&[
+                    ("d", tcudb_types::DataType::Int64),
+                    ("p", tcudb_types::DataType::Float64),
+                ]),
+                vec![
+                    Column::Int64((0..fact_rows).map(|i| (i % 5) as i64).collect()),
+                    Column::Float64((0..fact_rows).map(p).collect()),
+                ],
+            )
+            .unwrap(),
+        );
+        cat.register(
+            Table::from_int_columns("D", &[("id", vec![3, 1, 0, 2]), ("w", vec![30, 10, 0, 20])])
+                .unwrap(),
+        );
+        cat.register(
+            Table::from_int_columns("P", &[("id", vec![2, 0, 1]), ("w", vec![2, 0, 1])]).unwrap(),
+        );
+        cat
+    }
+
+    /// A joined batch and the shape of each step that built it.
+    type Routed = (TupleBatch, Vec<StepShape>);
+
+    /// Both routes over every row of every table: the star result (if
+    /// eligible) and the pairwise one.
+    fn both_routes(cat: &Catalog, sql: &str, threads: usize) -> (Option<Routed>, Routed) {
+        let q = analyze(&parse(sql).unwrap(), cat).unwrap();
+        let surviving: Vec<Vec<usize>> = q
+            .tables
+            .iter()
+            .map(|b| (0..b.table.num_rows()).collect())
+            .collect();
+        let ctx = QueryContext::unbounded();
+        let star = star_join(&q, &surviving, &ctx, threads)
+            .unwrap()
+            .map(|s| (s.batch, s.steps.iter().map(|st| st.shape).collect()));
+        let mut shapes = Vec::new();
+        let batch = join(&q, &surviving, &ctx, |step| {
+            let pairs = step.host_pairs(1)?.0;
+            shapes.push(step.shape(pairs.len()));
+            Ok(pairs)
+        })
+        .unwrap();
+        (star, (batch, shapes))
+    }
+
+    fn sorted(batch: &TupleBatch) -> Vec<Vec<usize>> {
+        let mut t = batch.to_tuples();
+        t.sort();
+        t
+    }
+
+    #[test]
+    fn star_route_matches_the_pairwise_join_shape_for_shape() {
+        let cat = star_catalog(40);
+        let (star, (pairwise, shapes)) = both_routes(
+            &cat,
+            "SELECT F.d, D.w, P.w FROM D, P, F WHERE F.d = D.id AND F.p = P.id",
+            1,
+        );
+        let (batch, star_shapes) = star.expect("a star with unique keys");
+        assert_eq!(star_shapes, shapes);
+        assert_eq!(sorted(&batch), sorted(&pairwise));
+        // Fact order: the root slot (F is bound third) is ascending.
+        assert!(batch.col(2).windows(2).all(|w| w[0] < w[1]));
+        // `F.d = 4` has no `D` row (8 of 40 rows); a NULL `F.p` matches
+        // nothing (4 of the remaining 32).
+        assert_eq!((shapes[1].m, shapes[1].out), (32, 28));
+    }
+
+    #[test]
+    fn star_route_is_identical_for_every_thread_count() {
+        let cat = star_catalog(2 * DEFAULT_CHUNK_ROWS + 7);
+        let sql = "SELECT F.d FROM D, P, F WHERE F.d = D.id AND F.p = P.id";
+        let (one, (_, shapes)) = both_routes(&cat, sql, 1);
+        let (three, _) = both_routes(&cat, sql, 3);
+        let (one, three) = (one.unwrap(), three.unwrap());
+        assert_eq!(one.1, shapes);
+        assert_eq!(three.1, shapes);
+        assert_eq!(one.0.to_tuples(), three.0.to_tuples());
+    }
+
+    #[test]
+    fn star_route_declines_non_star_shapes() {
+        let cat = star_catalog(20);
+        for sql in [
+            // D's key is unique, but the two-table root is the later table.
+            "SELECT F.d FROM F, D WHERE F.d = D.id",
+            // A non-equi predicate.
+            "SELECT F.d FROM D, F WHERE F.d < D.id",
+            // Two predicates on one dimension (a composite key).
+            "SELECT F.d FROM D, F WHERE F.d = D.id AND F.p = D.w",
+            // A snowflake: P hangs off D, not off the root.
+            "SELECT F.d FROM D, P, F WHERE F.d = D.id AND D.id = P.id AND F.p = D.w",
+        ] {
+            let (star, _) = both_routes(&cat, sql, 1);
+            assert!(star.is_none(), "{sql}");
+        }
+        // A duplicated dimension key the root can match.
+        let mut dup = star_catalog(20);
+        dup.register(
+            Table::from_int_columns("D", &[("id", vec![1, 1]), ("w", vec![0, 1])]).unwrap(),
+        );
+        let (star, _) = both_routes(&dup, "SELECT F.d FROM D, F WHERE F.d = D.id", 1);
+        assert!(star.is_none());
+        // ... but a duplicate no root row can match is harmless.
+        dup.register(
+            Table::from_int_columns("D", &[("id", vec![1, 9, 9]), ("w", vec![0, 1, 2])]).unwrap(),
+        );
+        let (star, (pairwise, shapes)) =
+            both_routes(&dup, "SELECT F.d FROM D, F WHERE F.d = D.id", 1);
+        let (batch, star_shapes) = star.unwrap();
+        assert_eq!(star_shapes, shapes);
+        assert_eq!(sorted(&batch), sorted(&pairwise));
     }
 
     #[test]

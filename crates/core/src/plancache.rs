@@ -11,11 +11,14 @@
 //! * the parsed AST ([`SelectStatement`]),
 //! * the analyzer output ([`AnalyzedQuery`] — bindings, classified
 //!   predicates, recognised pattern, with tables pinned by `Arc`),
-//! * the optimizer's per-join-step [`PlanChoice`]s, recorded on the first
+//! * the [`RecordedPlan`]: the join route (star or pairwise) and the
+//!   optimizer's per-join-step [`PlanChoice`]s, recorded on the first
 //!   execution and replayed verbatim afterwards (legal because identical
 //!   SQL against an identical snapshot produces identical filtered
 //!   cardinalities, hence identical [`JoinShape`]s — the inputs the cost
-//!   model decides on).
+//!   model decides on).  Replaying the route means a warm statement never
+//!   pays for a star pass the first execution discarded, and cold and warm
+//!   executions produce their rows in the same order.
 //!
 //! Per-execution observables (the simulated
 //! [`ExecutionTimeline`](tcudb_device::ExecutionTimeline), the
@@ -38,6 +41,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 use tcudb_sql::SelectStatement;
 use tcudb_types::sync::locked;
 
+/// What one execution decided about its joins: replayed by every later
+/// execution of the same statement against the same snapshot.
+#[derive(Debug, Clone, Default)]
+pub struct RecordedPlan {
+    /// The optimizer's decision per executed join step, in execution
+    /// order.
+    pub choices: Vec<PlanChoice>,
+    /// Did the joins take the star route?
+    pub star: bool,
+}
+
 /// Everything cached for one `(statement, epoch)` pair.
 ///
 /// Entries are deduplicated by the cache: all executions of one statement
@@ -55,10 +69,11 @@ pub struct CachedStatement {
     /// The analyzer output, with bound tables pinned to the snapshot the
     /// statement was analyzed against.
     pub analyzed: Arc<AnalyzedQuery>,
-    /// The optimizer's decisions, one per executed join step, recorded by
-    /// the first execution.  Empty until that execution finishes; single
-    /// assignment so racing first executions agree.
-    choices: OnceLock<Arc<Vec<PlanChoice>>>,
+    /// The join route and the optimizer's decisions, one per executed
+    /// join step, recorded by the first execution.  Empty until that
+    /// execution finishes; single assignment so racing first executions
+    /// agree.
+    plan: OnceLock<Arc<RecordedPlan>>,
     /// Memoized admission-control estimate (see
     /// [`CachedStatement::working_set_bytes`]).
     working_set: OnceLock<f64>,
@@ -75,16 +90,16 @@ impl CachedStatement {
         self.epoch
     }
 
-    /// The recorded per-join-step plan choices, if an execution has
-    /// completed and recorded them.
-    pub fn choices(&self) -> Option<Arc<Vec<PlanChoice>>> {
-        self.choices.get().cloned()
+    /// The recorded join route and per-join-step plan choices, if an
+    /// execution has completed and recorded them.
+    pub fn plan(&self) -> Option<Arc<RecordedPlan>> {
+        self.plan.get().cloned()
     }
 
-    /// Record the plan choices of a completed execution (first writer
-    /// wins; racing recordings of the same statement are identical).
-    pub fn record_choices(&self, choices: Vec<PlanChoice>) {
-        let _ = self.choices.set(Arc::new(choices));
+    /// Record the plan of a completed execution (first writer wins;
+    /// racing recordings of the same statement are identical).
+    pub fn record_plan(&self, plan: RecordedPlan) {
+        let _ = self.plan.set(Arc::new(plan));
     }
 
     /// The statement's estimated working-set bytes, computed once by
@@ -195,7 +210,7 @@ impl PlanCache {
             epoch,
             stmt,
             analyzed,
-            choices: OnceLock::new(),
+            plan: OnceLock::new(),
             working_set: OnceLock::new(),
         });
         map.order.push_back(key.clone());
@@ -366,12 +381,15 @@ mod tests {
     }
 
     #[test]
-    fn choices_record_once() {
+    fn plans_record_once() {
         let cache = PlanCache::default();
         let e = entry_for(&cache, "SELECT a.id FROM a", 0);
-        assert!(e.choices().is_none());
-        e.record_choices(vec![]);
-        e.record_choices(vec![]);
-        assert!(e.choices().is_some());
+        assert!(e.plan().is_none());
+        e.record_plan(RecordedPlan {
+            choices: vec![],
+            star: true,
+        });
+        e.record_plan(RecordedPlan::default());
+        assert!(e.plan().unwrap().star);
     }
 }

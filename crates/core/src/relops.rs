@@ -407,9 +407,19 @@ pub fn apply_filters_scan(
         stats.chunks_pruned += scans[ti].pruned;
 
         // ---- Evaluate the kept chunks as morsels ----
-        let keep: Vec<usize> = if filters.is_empty() && kept.len() == total {
-            // Unfiltered and nothing pruned: the identity selection.
-            (0..nrows).collect()
+        let keep: Vec<usize> = if filters.is_empty() {
+            // No predicates: every row of every kept chunk, in one
+            // exact-capacity allocation (the identity when nothing was
+            // pruned).
+            let spans: Vec<(usize, usize)> = kept
+                .iter()
+                .map(|&k| chunk::chunk_span(nrows, chunk_rows, k))
+                .collect();
+            let mut rows = Vec::with_capacity(spans.iter().map(|(s, e)| e - s).sum());
+            for (start, end) in spans {
+                rows.extend(start..end);
+            }
+            rows
         } else {
             let scan_chunk = |ci: usize| -> TcuResult<Vec<usize>> {
                 qctx.check()?;

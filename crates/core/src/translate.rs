@@ -14,8 +14,10 @@
 //!   `key_i <op> domain_j` (the non-equi joins of §3.4).
 //!
 //! Join operands are built from dictionary codes (the `*_encoded`
-//! builders); the `Value`-walking builders that remain serve the
-//! stand-alone Lemma 3.1 / Figure 5 operators in `executor`.
+//! builders); of the `Value`-walking builders that remain,
+//! [`adjacency_matrix`] serves the stand-alone Figure 5 operator in
+//! `executor` and [`valued_matrix`] is the reference the encoded valued
+//! builders are tested against.
 
 use crate::context::compare;
 use std::borrow::Cow;

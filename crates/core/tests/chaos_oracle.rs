@@ -26,9 +26,10 @@ use tcudb_types::sync::{CancellationToken, Deadline, QueryContext};
 use tcudb_types::{TcuError, Value};
 
 /// Statements covering the engine's pattern space: plain joins, grouped
-/// and fused aggregates, non-equi joins, single-table filters, and a
-/// three-way join — each exercises a different probe schedule.
-const QUERIES: [&str; 7] = [
+/// and fused aggregates, non-equi joins, single-table filters, a
+/// three-way join, and a star join over the unique-keyed `C` (one probe
+/// per morsel of its pass) — each exercises a different probe schedule.
+const QUERIES: [&str; 8] = [
     "SELECT A.val, B.val FROM A, B WHERE A.id = B.id",
     "SELECT SUM(A.val), B.val FROM A, B WHERE A.id = B.id GROUP BY B.val",
     "SELECT SUM(A.val * B.val) FROM A, B WHERE A.id = B.id",
@@ -36,6 +37,7 @@ const QUERIES: [&str; 7] = [
     "SELECT A.val FROM A WHERE A.val >= 20 ORDER BY A.val DESC",
     "SELECT COUNT(*), B.val FROM A, B WHERE A.id = B.id GROUP BY B.val ORDER BY B.val",
     "SELECT A.val, B.val, C.w FROM A, B, C WHERE A.id = B.id AND B.id = C.id",
+    "SELECT C.w, SUM(A.val) FROM C, A WHERE A.id = C.id GROUP BY C.w",
 ];
 
 fn base_catalog() -> Catalog {
@@ -97,6 +99,11 @@ fn cancellation_sweep_covers_every_probe_index() {
     let db = TcuDb::default();
     db.set_catalog(base_catalog());
 
+    let star = db.execute(QUERIES[7]).unwrap();
+    assert!(
+        star.plan.star_join,
+        "the star statement took the pairwise route"
+    );
     for sql in QUERIES {
         let expected = db.execute(sql).expect("baseline executes").table;
         let (counted, probes) = run_counted(&db, sql);

@@ -19,8 +19,11 @@ const CHUNK_SIZES: [usize; 4] = [1, 3, 7, 1 << 20];
 
 /// Queries mixing prunable atoms (comparisons, BETWEEN), unprunable text
 /// predicates, equi joins (exercising semi-join key-range pushdown onto
-/// the partner table), grouping and ordering.
-const QUERIES: [&str; 8] = [
+/// the partner table), grouping and ordering.  The last is a star join
+/// over the unique-keyed dimension `C`: its groups come out in the order
+/// `A`'s rows first reach them, which must not depend on chunk size or
+/// thread count.
+const QUERIES: [&str; 9] = [
     "SELECT A.val FROM A WHERE A.val BETWEEN 2 AND 9",
     "SELECT A.val, B.val FROM A, B WHERE A.id = B.id",
     "SELECT A.val, B.val FROM A, B WHERE A.id = B.id AND A.val >= 5",
@@ -29,13 +32,20 @@ const QUERIES: [&str; 8] = [
     "SELECT SUM(A.val * B.val) FROM A, B WHERE A.id = B.id AND A.id BETWEEN 1 AND 6",
     "SELECT A.id, SUM(B.val) FROM A, B WHERE A.id = B.id GROUP BY A.id ORDER BY A.id LIMIT 5",
     "SELECT A.val FROM A, B WHERE A.id = B.id AND A.val + 1 > 3 AND B.tag <> 's2'",
+    STAR,
 ];
+
+/// The star statement of [`QUERIES`].  An aggregate's last join step is
+/// the fused operator, which never runs a kernel, so the star route is
+/// taken whatever plan the optimizer picks.
+const STAR: &str = "SELECT C.w, COUNT(*), SUM(A.val) FROM C, A \
+                    WHERE A.id = C.id AND C.w <> 3 AND A.val > -5 GROUP BY C.w";
 
 fn build_tables(
     a_rows: &[(i64, i64)],
     b_rows: &[(i64, i64, i64)],
     chunk_rows: usize,
-) -> (Table, Table) {
+) -> [Table; 3] {
     let mut a = Table::from_columns(
         "A",
         Schema::from_pairs(&[("id", DataType::Int64), ("val", DataType::Int64)]),
@@ -59,15 +69,26 @@ fn build_tables(
         ],
     )
     .unwrap();
+    // A dimension keyed on every id `A` can hold, once each.
+    let mut c = Table::from_int_columns(
+        "C",
+        &[
+            ("id", (0..12).rev().collect()),
+            ("w", (0..12).map(|i| i * 5 % 7).collect()),
+        ],
+    )
+    .unwrap();
     a.set_chunk_rows(chunk_rows);
     b.set_chunk_rows(chunk_rows);
-    (a, b)
+    c.set_chunk_rows(chunk_rows);
+    [a, b, c]
 }
 
-fn engine(threads: usize, a: &Table, b: &Table) -> TcuDb {
+fn engine(threads: usize, tables: &[Table]) -> TcuDb {
     let db = TcuDb::new(EngineConfig::default().with_morsel_threads(Some(threads)));
-    db.register_table(a.clone());
-    db.register_table(b.clone());
+    for t in tables {
+        db.register_table(t.clone());
+    }
     db
 }
 
@@ -85,18 +106,19 @@ proptest! {
         b_rows in prop::collection::vec((0i64..12, 0i64..30, 0i64..4), 0..50),
         chunk_sel in 0usize..4,
         threads in 1usize..4,
-        query_idx in 0usize..8,
+        query_idx in 0usize..9,
     ) {
         let sql = QUERIES[query_idx];
         let chunk_rows = CHUNK_SIZES[chunk_sel];
 
         // Default (unpartitioned-size) chunks, one morsel thread — the
         // pre-partitioning engine — and the oracle over the same tables.
-        let (ra, rb) = build_tables(&a_rows, &b_rows, 1 << 20);
-        let unchunked = engine(1, &ra, &rb).execute(sql).unwrap();
+        let unchunked_tables = build_tables(&a_rows, &b_rows, 1 << 20);
+        let unchunked = engine(1, &unchunked_tables).execute(sql).unwrap();
         let mut catalog = Catalog::new();
-        catalog.register(ra);
-        catalog.register(rb);
+        for t in unchunked_tables {
+            catalog.register(t);
+        }
         let want = tcudb_reference::execute(&catalog, sql).unwrap();
         prop_assert_eq!(
             comparable_rows(sql, &unchunked.table),
@@ -105,13 +127,19 @@ proptest! {
             sql
         );
 
-        let (a, b) = build_tables(&a_rows, &b_rows, chunk_rows);
-        // Chunks of every table the query actually scans (query 0 is the
-        // single-table case).
-        let total_chunks = (a.chunk_count()
-            + if sql.contains("B.") { b.chunk_count() } else { 0 }) as u64;
-        let chunked = engine(threads, &a, &b).execute(sql).unwrap();
+        let tables = build_tables(&a_rows, &b_rows, chunk_rows);
+        // Chunks of every table the query actually scans.
+        let total_chunks: u64 = tables
+            .iter()
+            .filter(|t| sql.contains(&format!("{}.", t.name())))
+            .map(|t| t.chunk_count() as u64)
+            .sum();
+        let chunked = engine(threads, &tables).execute(sql).unwrap();
         prop_assert_eq!(&chunked.table, &unchunked.table, "{} chunk={}", sql, chunk_rows);
+        // Chunking never changes the join route; `C`'s keys are unique, so
+        // the star statement always takes the star route.
+        prop_assert_eq!(chunked.plan.star_join, unchunked.plan.star_join, "{}", sql);
+        prop_assert!(sql != STAR || chunked.plan.star_join);
 
         // Chunk accounting: every chunk of every scanned table is either
         // scanned or pruned, never dropped on the floor.
@@ -131,9 +159,9 @@ proptest! {
 #[test]
 fn pruning_stats_reflect_zone_maps() {
     let rows: Vec<(i64, i64)> = (0..30).map(|i| (i, i)).collect();
-    let (a, b) = build_tables(&rows, &[], 10);
+    let tables = build_tables(&rows, &[], 10);
     // val >= 20 lives entirely in the last of A's three 10-row chunks.
-    let db = engine(1, &a, &b);
+    let db = engine(1, &tables);
     let out = db.execute("SELECT A.val FROM A WHERE A.val >= 20").unwrap();
     assert_eq!(out.table.num_rows(), 10);
     assert_eq!(out.host.chunks_pruned, 2);
@@ -144,8 +172,7 @@ fn pruning_stats_reflect_zone_maps() {
         .iter()
         .any(|s| s.contains("zone-prune") && s.contains("2/3")));
 
-    let (a1, b1) = build_tables(&rows, &[], 1);
-    let db1 = engine(2, &a1, &b1);
+    let db1 = engine(2, &build_tables(&rows, &[], 1));
     let out1 = db1.execute("SELECT A.val FROM A WHERE A.val = 7").unwrap();
     assert_eq!(out1.table.num_rows(), 1);
     assert_eq!(out1.host.chunks_pruned, 29);

@@ -14,7 +14,7 @@ use tcudb_core::translate::{
     one_hot_matrix_encoded, valued_csr_encoded, valued_matrix, valued_matrix_encoded, Domain,
     EncodedSource,
 };
-use tcudb_core::{EngineConfig, PlanKind, TcuDb};
+use tcudb_core::{pipeline, EngineConfig, PlanKind, TcuDb};
 use tcudb_reference::{
     comparable_rows as rows, comparison_matrix, one_hot_csr, one_hot_matrix, valued_csr,
 };
@@ -778,5 +778,198 @@ fn null_keys_encode_like_domain_inserts() {
     for (i, v) in vals.iter().enumerate() {
         let j = dom.index_of(v).unwrap();
         assert_eq!(m.get(i, j), 1.0, "row {i}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Star joins: the star route (one pass over the fact table, each
+// dimension a lookup array over the foreign-key codes) against the
+// reference under every plan, and against the pairwise driver shape for
+// shape and tuple for tuple.
+// ---------------------------------------------------------------------
+
+/// Key types: 0 = Int64 on both sides; 1 = Float64 half-steps on both
+/// sides; 2 = integral Float64 foreign keys against Int64 dimension keys.
+/// Float foreign keys are NULL (stored as NaN) where the draw is 9.
+fn star_fk(mode: usize, x: i64) -> f64 {
+    match (mode, x) {
+        (0, _) => x as f64,
+        (_, 9) => f64::NAN,
+        (1, _) => x as f64 * 0.5,
+        _ => x as f64,
+    }
+}
+
+/// The fact table `F(f1, f2, f3, val, g)`.
+fn star_fact(mode: usize, rows: &[(i64, i64, i64, i64, i64)]) -> Table {
+    let fk = |pick: fn(&(i64, i64, i64, i64, i64)) -> i64| -> Column {
+        if mode == 0 {
+            Column::Int64(rows.iter().map(pick).collect())
+        } else {
+            Column::Float64(rows.iter().map(|r| star_fk(mode, pick(r))).collect())
+        }
+    };
+    let kt = if mode == 0 {
+        DataType::Int64
+    } else {
+        DataType::Float64
+    };
+    Table::from_columns(
+        "F",
+        Schema::from_pairs(&[
+            ("f1", kt),
+            ("f2", kt),
+            ("f3", kt),
+            ("val", DataType::Int64),
+            ("g", DataType::Int64),
+        ]),
+        vec![
+            fk(|r| r.0),
+            fk(|r| r.1),
+            fk(|r| r.2),
+            Column::Int64(rows.iter().map(|r| r.3).collect()),
+            Column::Int64(rows.iter().map(|r| r.4).collect()),
+        ],
+    )
+    .unwrap()
+}
+
+/// Dimension `D{i}(id, a, w)` with one row per `(id, a, w)`.
+fn star_dim(i: usize, mode: usize, rows: &[(i64, i64, i64)]) -> Table {
+    let ids = rows.iter().map(|r| r.0);
+    let id = if mode == 1 {
+        Column::Float64(ids.map(|x| x as f64 * 0.5).collect())
+    } else {
+        Column::Int64(ids.collect())
+    };
+    let kt = if mode == 1 {
+        DataType::Float64
+    } else {
+        DataType::Int64
+    };
+    Table::from_columns(
+        format!("D{i}"),
+        Schema::from_pairs(&[("id", kt), ("a", DataType::Text), ("w", DataType::Int64)]),
+        vec![
+            id,
+            Column::Text(rows.iter().map(|r| format!("a{}", r.1)).collect()),
+            Column::Int64(rows.iter().map(|r| r.2).collect()),
+        ],
+    )
+    .unwrap()
+}
+
+/// The joined tuples of a batch as sorted row-index lists.
+fn sorted_tuples(batch: &TupleBatch) -> Vec<Vec<u32>> {
+    let mut t: Vec<Vec<u32>> = (0..batch.len())
+        .map(|i| (0..batch.num_slots()).map(|p| batch.col(p)[i]).collect())
+        .collect();
+    t.sort();
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A fact table and 1–3 dimensions: Int64, Float64 and mixed keys with
+    /// NULL foreign keys, a duplicated dimension key that must fall back,
+    /// filters that reject every dimension row, group keys on either side,
+    /// all five aggregates, a residual across two dimensions and a plain
+    /// projection.
+    #[test]
+    fn star_route_matches_reference_and_pairwise_driver(
+        fact in prop::collection::vec((0i64..10, 0i64..10, 0i64..10, -5i64..20, 0i64..3), 0..40),
+        present in prop::collection::vec(prop::collection::vec(0u8..4, 10..11), 3..4),
+        attrs in prop::collection::vec(prop::collection::vec((0i64..4, 0i64..9), 10..11), 3..4),
+        ndims in 1usize..4,
+        mode in 0usize..3,
+        dup in 0u8..4,
+        filters in prop::collection::vec(0usize..5, 3..4),
+        query_idx in 0usize..6,
+    ) {
+        let (mut fact, dup) = (fact, dup == 0);
+        let mut catalog = Catalog::new();
+        for i in 0..3 {
+            let mut rows: Vec<(i64, i64, i64)> = (0..10)
+                .filter(|&k| present[i][k] > 0 && !(dup && i == 0 && k == 0))
+                .map(|k| (k as i64, attrs[i][k].0, attrs[i][k].1))
+                .collect();
+            if dup && i == 0 {
+                // Two rows keyed 0, both passing the partial filter (and
+                // query 4's residual, a filter on D1 when it is the only
+                // dimension), and a fact row that matches them.
+                rows.push((0, 1, 3));
+                rows.push((0, 2, 4));
+                fact.push((0, 1, 1, 7, 0));
+            }
+            catalog.register(star_dim(i + 1, mode, &rows));
+        }
+        catalog.register(star_fact(mode, &fact));
+        // Filter modes: 1 keeps some rows, 2 rejects every row, the rest
+        // filter nothing.  Only a duplicate that survives D1's filter
+        // makes the query ineligible.
+        let eligible = !(dup && filters[0] != 2);
+
+        let dims: Vec<usize> = (1..=ndims).collect();
+        let from: Vec<String> = dims.iter().map(|i| format!("D{i}")).collect();
+        let mut wheres: Vec<String> = dims.iter().map(|i| format!("F.f{i} = D{i}.id")).collect();
+        for &i in &dims {
+            match filters[i - 1] {
+                1 => wheres.push(format!("D{i}.w < 6")),
+                2 => wheres.push(format!("D{i}.w > 100")),
+                _ => {}
+            }
+        }
+        let (from, wheres) = (from.join(", "), wheres.join(" AND "));
+        let attrs: Vec<String> = dims.iter().map(|i| format!("D{i}.a")).collect();
+        let sql = match query_idx {
+            0 => format!("SELECT F.val, {} FROM {from}, F WHERE {wheres}", attrs.join(", ")),
+            1 => format!("SELECT D1.a, SUM(F.val) FROM {from}, F WHERE {wheres} GROUP BY D1.a"),
+            2 => format!("SELECT F.g, COUNT(*) FROM {from}, F WHERE {wheres} GROUP BY F.g"),
+            3 => format!(
+                "SELECT D{ndims}.a, AVG(F.val), MIN(F.val), MAX(D1.w) FROM {from}, F \
+                 WHERE {wheres} GROUP BY D{ndims}.a"
+            ),
+            4 => format!(
+                "SELECT F.val, D1.w FROM {from}, F WHERE {wheres} AND D1.w + D{ndims}.w > 3"
+            ),
+            _ => format!(
+                "SELECT F.g, D1.a, SUM(F.val * D1.w) FROM {from}, F WHERE {wheres} \
+                 GROUP BY F.g, D1.a ORDER BY F.g, D1.a LIMIT 5"
+            ),
+        };
+
+        let want = tcudb_reference::execute(&catalog, &sql).unwrap();
+        for (plan, db) in production_engines(&catalog) {
+            let got = db.execute(&sql).unwrap();
+            prop_assert_eq!(rows(&sql, &got.table), rows(&sql, &want), "{} under {}", sql, plan);
+            prop_assert!(eligible || !got.plan.star_join, "{} under {}", sql, plan);
+            if plan == PlanKind::GpuFallback.to_string() {
+                // The GPU fallback never runs a kernel, so the star route
+                // is taken exactly when the query is eligible.
+                prop_assert_eq!(got.plan.star_join, eligible, "{}", sql);
+            }
+            let warm = db.execute(&sql).unwrap();
+            prop_assert_eq!(exact(&warm.table), exact(&got.table), "warm {} under {}", sql, plan);
+            prop_assert_eq!(warm.plan.star_join, got.plan.star_join);
+        }
+
+        // The star route against the pairwise driver on the same query.
+        let q = analyze(&parse(&sql).unwrap(), &catalog).unwrap();
+        let ctx = QueryContext::unbounded();
+        let (surviving, ..) = relops::apply_filters_scan(&q, &ctx, &ScanOptions::serial()).unwrap();
+        let star = pipeline::star_join(&q, &surviving, &ctx, 2).unwrap();
+        prop_assert_eq!(star.is_some(), eligible, "{}", sql);
+        if let Some(star) = star {
+            let mut shapes = Vec::new();
+            let pairwise = pipeline::join(&q, &surviving, &ctx, |step| {
+                let pairs = step.host_pairs(1)?.0;
+                shapes.push(step.shape(pairs.len()));
+                Ok(pairs)
+            }).unwrap();
+            let star_shapes: Vec<_> = star.steps.iter().map(|s| s.shape).collect();
+            prop_assert_eq!(star_shapes, shapes, "{}", sql);
+            prop_assert_eq!(sorted_tuples(&star.batch), sorted_tuples(&pairwise), "{}", sql);
+        }
     }
 }

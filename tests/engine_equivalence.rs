@@ -129,6 +129,24 @@ fn ssb_flight_representatives_agree_across_engines() {
     }
 }
 
+/// On SSB-mini, flight 2 (`lineorder` joined to three unique-keyed
+/// dimensions) runs on the star route; flight 1's two-table join roots at
+/// `date` and joins the non-unique `lineorder` keys pairwise.
+#[test]
+fn ssb_mini_takes_the_star_route_where_eligible() {
+    let db = TcuDb::default();
+    db.set_catalog(ssb::gen_catalog(1, 0x55B));
+    for (name, sql) in ssb::queries() {
+        let want = match name {
+            "Q1.1" | "Q1.2" | "Q1.3" => false,
+            "Q2.1" | "Q2.2" | "Q2.3" => true,
+            _ => continue,
+        };
+        let out = db.execute(&sql).expect("tcudb executes");
+        assert_eq!(out.plan.star_join, want, "{name}");
+    }
+}
+
 #[test]
 fn pagerank_queries_agree_across_engines() {
     let g = graph::gen_road_graph(256, 520, 7);

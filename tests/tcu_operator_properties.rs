@@ -1,41 +1,58 @@
 //! Property-based integration tests of the core TCU rewrites: the fused
-//! matrix operators must agree with scalar SQL semantics on arbitrary data.
+//! operators must agree with scalar SQL semantics on arbitrary data.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use tcudb::core::executor::{tcu_group_aggregate, tcu_matmul_query};
+use tcudb::core::executor::tcu_matmul_query;
 use tcudb::prelude::*;
 use tcudb::tensor::GemmPrecision;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Lemma 3.1: the fused group-by SUM equals the scalar join+aggregate.
+    /// Lemma 3.1: the fused group-by SUM, run by the engine's star route
+    /// (one pass over the fact table with the dimension as a lookup
+    /// array), equals the scalar join+aggregate.
     #[test]
     fn fused_group_aggregate_equals_scalar_reference(
         a in prop::collection::vec((0i64..12, 1i64..50), 1..60),
         b in prop::collection::vec((0i64..12, 0i64..6), 1..40),
     ) {
-        let a_keys: Vec<Value> = a.iter().map(|(k, _)| Value::Int(*k)).collect();
-        let a_vals: Vec<f64> = a.iter().map(|(_, v)| *v as f64).collect();
-        let b_keys: Vec<Value> = b.iter().map(|(k, _)| Value::Int(*k)).collect();
-        let b_groups: Vec<Value> = b.iter().map(|(_, g)| Value::Int(*g)).collect();
-
-        let result = tcu_group_aggregate(&a_keys, &a_vals, &b_keys, &b_groups, GemmPrecision::Fp32)
+        // A unique dimension key: keep the first row per key.
+        let mut seen = std::collections::HashSet::new();
+        let b: Vec<(i64, i64)> = b.into_iter().filter(|(k, _)| seen.insert(*k)).collect();
+        let fact = Table::from_int_columns(
+            "A",
+            &[("k", a.iter().map(|(k, _)| *k).collect()),
+              ("val", a.iter().map(|(_, v)| *v).collect())],
+        ).unwrap();
+        let dim = Table::from_int_columns(
+            "B",
+            &[("k", b.iter().map(|(k, _)| *k).collect()),
+              ("g", b.iter().map(|(_, g)| *g).collect())],
+        ).unwrap();
+        let db = TcuDb::default();
+        db.register_table(fact);
+        db.register_table(dim);
+        // `A`, listed last, is the root of the join order.
+        let out = db
+            .execute("SELECT SUM(A.val), B.g FROM B, A WHERE A.k = B.k GROUP BY B.g")
             .expect("fused aggregate runs");
+        prop_assert!(out.plan.star_join, "the star route was not taken");
 
         let mut expected: HashMap<i64, f64> = HashMap::new();
-        for ((ak, av), _) in a.iter().zip(a.iter()) {
+        for (ak, av) in &a {
             for (bk, bg) in &b {
                 if ak == bk {
                     *expected.entry(*bg).or_default() += *av as f64;
                 }
             }
         }
-        for (group, sum) in result {
-            let g = group.as_i64().unwrap();
-            let want = expected.get(&g).copied().unwrap_or(0.0);
-            prop_assert!((want - sum).abs() < 1e-6, "group {g}: {sum} vs {want}");
+        prop_assert_eq!(out.table.num_rows(), expected.len());
+        for i in 0..out.table.num_rows() {
+            let row = out.table.row(i);
+            let (sum, g) = (row[0].as_f64().unwrap(), row[1].as_i64().unwrap());
+            prop_assert!((expected[&g] - sum).abs() < 1e-6, "group {g}: {sum} vs {}", expected[&g]);
         }
     }
 
