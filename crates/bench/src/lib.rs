@@ -4,7 +4,7 @@
 //! Experiment runners that regenerate every table and figure of the
 //! paper's evaluation (§5).  Each `figN_*` / `tableN_*` function returns
 //! structured rows; the `figures` binary renders them as text tables and
-//! the Criterion benches under `benches/` wrap the same runners.
+//! `tests/paper_claims.rs` checks the paper's claims against them.
 //!
 //! All timings are **simulated device seconds** produced by the cost model
 //! of `tcudb-device` driven by the exact operation counts of each engine's

@@ -1,13 +1,11 @@
 //! Device profiles: the hardware constants of the simulated GPUs.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware constants of a simulated GPU + host platform.
 ///
 /// The two built-in profiles correspond to the paper's testbeds:
 /// an NVIDIA GeForce RTX 3090 (Ampere, §5.1) and an RTX 2080 (Turing,
 /// §5.6), both attached over PCIe 3.0 x16 to an Intel i7-7700K host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable name.
     pub name: String,

@@ -1,5 +1,5 @@
 //! A small blocking client for the TCUP protocol — what the test suites
-//! and `perfserve`'s socket mode speak.  One [`Client`] owns one
+//! and `tcubench`'s socket workloads speak.  One [`Client`] owns one
 //! connection; pipelining is explicit: [`Client::send_query`] fires a
 //! statement without waiting, [`Client::recv_reply`] collects the next
 //! reply in submission order, and the convenience [`Client::query`] does

@@ -26,7 +26,7 @@
 //!   idle timeouts, and the bridge onto `tcudb-serve`'s admission /
 //!   deadline / shed / cancel machinery via per-statement sessions.
 //! * [`client`] — [`Client`]: the blocking client the tests and
-//!   `perfserve --socket` use.
+//!   `tcubench` use.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -123,6 +123,41 @@ fn corpus_under_64_concurrent_connections_is_byte_identical() {
 }
 
 #[test]
+fn server_holds_256_open_connections_each_serving_a_verified_statement() {
+    let f = fixture();
+    // A dedicated server, so the census counts exactly these clients.
+    let server = NetServer::start(Arc::clone(&f.db), NetConfig::default()).expect("server starts");
+    let n_conns = 256;
+    let mut clients: Vec<Client> = (0..n_conns)
+        .map(|_| {
+            let client = Client::connect(server.local_addr()).expect("client connects");
+            client
+                .set_read_timeout(Some(Duration::from_secs(120)))
+                .expect("set timeout");
+            client
+        })
+        .collect();
+    // One thread, one statement per connection, every connection open
+    // throughout: a reply proves the reactor accepted that connection.
+    for (c, client) in clients.iter_mut().enumerate() {
+        let (name, sql, expected) = &f.corpus[c % f.corpus.len()];
+        let got = client
+            .query(sql)
+            .unwrap_or_else(|e| panic!("conn {c} {name}: {e}"));
+        assert_eq!(&got, expected, "conn {c} {name}: socket result diverged");
+    }
+    let active = server.stats().active;
+    assert!(
+        active >= 256,
+        "only {active} concurrent connections held (need 256)"
+    );
+    for client in clients {
+        client.goodbye();
+    }
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
 fn pipelined_statements_come_back_in_order_and_identical() {
     let f = fixture();
     let mut client = connect(f);

@@ -14,12 +14,12 @@
 //!   blips are retried, and every acknowledged write survives reboot
 //!   and recovery.
 
-use std::sync::Arc;
-use std::time::Duration;
-use tcudb_core::{EngineConfig, TcuDb};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
+use tcudb_core::{EngineConfig, QueryOutput, TcuDb};
 use tcudb_serve::{ServeConfig, Server};
 use tcudb_storage::{DurabilityOptions, MemBackend, Table};
-use tcudb_types::{TcuError, Value};
+use tcudb_types::{TcuError, TcuResult, Value};
 
 fn open_durable(be: &MemBackend) -> TcuDb {
     TcuDb::open_with_backend(
@@ -193,8 +193,8 @@ fn chaos_storm_resolves_typed_and_leaks_nothing() {
 }
 
 /// Overload composed with chaos: a one-worker server with a tiny queue
-/// sheds the flood with typed errors, keeps executing admitted work,
-/// and drains back to zero.
+/// sheds the flood with typed errors, keeps the admitted tail within 20x
+/// an unloaded run, and drains back to zero.
 #[test]
 fn overload_sheds_typed_while_admitted_work_completes() {
     let be = MemBackend::new();
@@ -212,20 +212,65 @@ fn overload_sheds_typed_while_admitted_work_completes() {
     );
     let session = server.session();
 
-    let mut admitted = Vec::new();
+    // Every flooded statement reads all of B, so each costs about one
+    // unloaded run; the `B.id` bound only makes the text distinct.
+    let flood_sql = |i: usize| {
+        format!(
+            "SELECT A.val, B.val FROM A, B WHERE A.id = B.id AND B.id < {}",
+            i + 6
+        )
+    };
+    // One unloaded run, on the warmed engine alone (best of 3), of
+    // statements the flood does not repeat.
+    db.execute(&flood_sql(1_000_000))
+        .expect("warm-up run completes");
+    let unloaded_ms = (1..=3)
+        .map(|k| {
+            let t = Instant::now();
+            db.execute(&flood_sql(1_000_000 + k))
+                .expect("unloaded run completes");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min);
+    // An admitted statement waits behind at most 2 queued + 1 executing
+    // ones; 20x an unloaded run (floored against timer jitter) is a
+    // generous ceiling. The flood is sized so that without the queue bound
+    // its tail would wait behind four bounds' worth of statements.
+    let bound_ms = (20.0 * unloaded_ms).max(50.0);
+    let flood = ((4.0 * bound_ms / unloaded_ms).ceil() as usize).clamp(120, 10_000);
+
+    // Each admitted statement reports its submit-to-completion latency
+    // from the worker that finished it.
+    let (done_tx, done_rx) = mpsc::channel();
+    let mut admitted_count = 0u64;
     let mut shed = 0u64;
-    for i in 0..120usize {
-        match session.submit(&distinct_sql(i)) {
-            Ok(t) => admitted.push(t),
+    for i in 0..flood {
+        let done_tx = done_tx.clone();
+        let submitted = Instant::now();
+        let reply = move |r: TcuResult<QueryOutput>| {
+            let _ = done_tx.send((submitted.elapsed().as_secs_f64() * 1e3, r));
+        };
+        match session.submit_callback(&flood_sql(i), None, reply) {
+            Ok(()) => admitted_count += 1,
             Err(TcuError::Overloaded(_)) => shed += 1,
             Err(e) => panic!("submit failed with wrong error: {e}"),
         }
     }
+    let mut latencies_ms: Vec<f64> = (0..admitted_count)
+        .map(|_| {
+            let (ms, r) = done_rx.recv().expect("every admitted statement replies");
+            r.expect("admitted queries complete");
+            ms
+        })
+        .collect();
+    latencies_ms.sort_by(f64::total_cmp);
+    let p99_ms = latencies_ms[(latencies_ms.len() * 99).div_ceil(100) - 1];
+    assert!(
+        p99_ms <= bound_ms,
+        "admitted p99 {p99_ms:.3}ms exceeds {bound_ms:.1}ms over a {flood}-statement flood: \
+         shedding failed to bound the tail"
+    );
     assert!(shed > 0, "flood never hit the queue bound");
-    let admitted_count = admitted.len() as u64;
-    for t in admitted {
-        t.wait().expect("admitted queries complete");
-    }
 
     let stats = server.stats();
     assert_eq!(stats.shed, shed, "stats: {stats:?}");

@@ -26,7 +26,6 @@
 //!   one snapshot for their lifetime, writes publish the next epoch, and
 //!   the epoch doubles as the invalidation token for every cache derived
 //!   from catalog state (dictionary encodings, cached plans),
-//! * [`csv`] — plain-text import/export used by the examples,
 //! * [`backend`] / [`wal`] / [`segment`] / [`mod@recover`] — the durability
 //!   subsystem: a pluggable storage backend (real filesystem or a
 //!   deterministic fault-injecting in-memory disk), a CRC-framed
@@ -40,7 +39,6 @@ pub mod backend;
 pub mod catalog;
 pub mod chunk;
 pub mod column;
-pub mod csv;
 pub mod encoded;
 pub mod recover;
 pub mod retry;

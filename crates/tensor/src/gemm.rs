@@ -131,8 +131,8 @@ pub fn gemm(
     gemm_with_threads(a, b, precision, threads)
 }
 
-/// [`gemm`] with an explicit thread count (used by the determinism tests
-/// and the `perfbaseline` harness; results are identical for every count).
+/// [`gemm`] with an explicit thread count (used by the determinism tests;
+/// results are identical for every count).
 pub fn gemm_with_threads(
     a: &DenseMatrix,
     b: &DenseMatrix,

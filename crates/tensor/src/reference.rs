@@ -3,9 +3,9 @@
 //! These are the original triple-loop kernels the tiled engine
 //! ([`crate::engine`]) replaced on the hot path.  They are kept verbatim
 //! (modulo the integer-accumulator fix below) so that every optimised
-//! kernel can be proven bit-identical against them, and so the perf
-//! harness (`perfbaseline` in `tcudb-bench`) has a stable baseline to
-//! measure speedups against.
+//! kernel can be proven bit-identical against them, and so the oracle
+//! suite (`tests/engine_oracle.rs`) has a stable baseline for its speed
+//! floor.
 //!
 //! Numeric contracts (shared with the engine):
 //!

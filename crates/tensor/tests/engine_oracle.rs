@@ -5,6 +5,7 @@
 //! be byte-for-byte deterministic for every thread count.
 
 use proptest::prelude::*;
+use std::time::Instant;
 use tcudb_tensor::gemm::{gemm_bt_with_threads, gemm_with_threads, GemmPrecision};
 use tcudb_tensor::{blocked, reference, spmm, CsrMatrix, DenseMatrix};
 
@@ -110,6 +111,34 @@ fn one_thread_and_n_thread_runs_agree_exactly() {
             assert_eq!(one_bt, many_bt, "bt {precision:?} threads={threads}");
         }
     }
+}
+
+/// Best-of-3 wall-clock seconds of `f`.
+fn best_of_3_secs<R>(mut f: impl FnMut() -> R) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Speed floor: on an odd 517×233×129 fp32 join shape the tiled engine,
+/// held to one thread, must be no slower than the naive oracle.
+#[test]
+fn one_thread_tiled_gemm_bt_is_no_slower_than_reference() {
+    let (m, n, k) = (517, 233, 129);
+    let a = lcg_matrix(m, k, 0xA, 1);
+    let b_t = lcg_matrix(n, k, 0xB, 1);
+    let precision = GemmPrecision::Fp32;
+    let reference_secs = best_of_3_secs(|| reference::gemm_bt(&a, &b_t, precision).unwrap());
+    let tiled_secs = best_of_3_secs(|| gemm_bt_with_threads(&a, &b_t, precision, 1).unwrap());
+    assert!(
+        tiled_secs <= reference_secs,
+        "tiled engine ({tiled_secs:.6}s) slower than reference oracle ({reference_secs:.6}s) \
+         on {m}x{n}x{k}"
+    );
 }
 
 #[test]

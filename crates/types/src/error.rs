@@ -35,7 +35,9 @@ pub enum TcuError {
         /// Bytes the device actually has.
         available: usize,
     },
-    /// Error touching the filesystem (CSV import/export).
+    /// A permanent I/O failure, on a storage file or a socket, that the
+    /// caller should not retry (corruption, a missing file, a closed
+    /// connection).
     Io(String),
     /// A storage-layer I/O failure the caller may retry: the medium is
     /// expected to recover (interrupted syscall, transient backend

@@ -8,14 +8,11 @@
 //! which tensor cores of the paper's generation cannot consume).
 
 use crate::f16::F16_MAX;
-use serde::{Deserialize, Serialize};
 
 /// An input precision considered by the mixed-precision optimizer.
 ///
 /// Ordered from most compact to least compact.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Precision {
     /// 4-bit signed integer (range −8 ..= 7). Supported by Turing/Ampere
     /// TCUs for experimental int4 GEMM.

@@ -2,7 +2,6 @@
 //! the execution engines.
 
 use crate::error::{TcuError, TcuResult};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -11,7 +10,7 @@ use std::fmt;
 /// The paper's storage layer is a columnar store over integer, floating
 /// point, and (dictionary-encoded) string columns; that is exactly what we
 /// support here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int64,
@@ -50,7 +49,7 @@ impl fmt::Display for DataType {
 }
 
 /// A single dynamically-typed value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,
